@@ -10,8 +10,10 @@
 //   (e) placement mode: address-space hashing (baseline DMap) vs hashing
 //       GUIDs directly to AS numbers (Section VII future work) — load
 //       proportionality vs uniformity;
-//   (f) in-network caching (Section VII future work) — hit rate, latency,
-//       staleness vs TTL.
+//   (f) sparse address spaces: rehash-until-hit vs the bucket index;
+//   (g) topology robustness on a geographically embedded topology.
+// In-network caching (Section VII future work) is measured by the TTL
+// panel of fig10_mobility on the resolver-side cache.
 #include <cstdio>
 #include <unordered_map>
 
@@ -19,7 +21,6 @@
 #include "runtime/thread_pool.h"
 #include "core/as_hashing.h"
 #include "core/bucket_index.h"
-#include "core/cache.h"
 #include "core/hole_resolver.h"
 #include "sim/experiments.h"
 #include "workload/workload.h"
@@ -171,88 +172,7 @@ int main(int argc, char** argv) {
                 table.Render().c_str());
   }
 
-  // (f) in-network caching: hit rate / latency / staleness vs TTL.
-  {
-    config.k = 5;
-    DMapOptions service_options;
-    service_options.k = 5;
-    service_options.measure_update_latency = false;
-
-    TextTable table({"cache TTL", "hit rate", "mean (ms)", "median (ms)",
-                     "stale hits"});
-    for (const double ttl_s : {0.0, 30.0, 300.0}) {
-      DMapService service(env.graph, env.table, service_options);
-      if (obs.registry() != nullptr) service.SetMetrics(obs.registry());
-      if (obs.tracer() != nullptr) service.SetTracer(obs.tracer());
-      WorkloadGenerator workload(env.graph, config.workload);
-      for (const InsertOp& op : workload.Inserts()) {
-        (void)service.Insert(op.guid, op.na);
-      }
-
-      // Queriers come from a 256-AS vantage set (caches are per-AS; a
-      // deployment runs resolvers at PoPs, concentrating repeats). Lookups
-      // arrive in true temporal order over a 10-minute window, with 10% of
-      // the hosts moving midway — so long TTLs risk serving stale NAs.
-      std::vector<AsId> vantage;
-      {
-        std::vector<AsId> by_weight(env.graph.num_nodes());
-        for (AsId as = 0; as < env.graph.num_nodes(); ++as) {
-          by_weight[as] = as;
-        }
-        std::sort(by_weight.begin(), by_weight.end(), [&](AsId a, AsId b) {
-          return env.graph.EndNodeWeight(a) > env.graph.EndNodeWeight(b);
-        });
-        by_weight.resize(std::min<std::size_t>(256, by_weight.size()));
-        vantage = std::move(by_weight);
-      }
-      auto ops = workload.Lookups(config.workload.num_lookups,
-                                  /*sort_by_source=*/false);
-      for (LookupOp& op : ops) {
-        op.source = vantage[op.source % vantage.size()];
-      }
-
-      SampleSet latencies;
-      std::uint64_t stale = 0, hits = 0;
-      if (ttl_s == 0.0) {
-        for (const LookupOp& op : ops) {
-          latencies.Add(service.Lookup(op.guid, op.source).latency_ms);
-        }
-      } else {
-        CachingDMap cached(service, 4096, SimTime::Seconds(ttl_s));
-        const double window_s = 600.0;
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-          if (i == ops.size() / 2) {
-            for (const MoveOp& move :
-                 workload.Moves(config.workload.num_guids / 10)) {
-              cached.Update(move.guid, move.new_na);
-            }
-          }
-          const SimTime now = SimTime::Seconds(
-              window_s * double(i) / double(ops.size()));
-          const auto r = cached.Lookup(ops[i].guid, ops[i].source, now);
-          if (!r.result.found) continue;
-          latencies.Add(r.result.latency_ms);
-          if (r.from_cache) ++hits;
-          if (r.stale) ++stale;
-        }
-      }
-      table.AddRow(
-          {ttl_s == 0 ? "off" : TextTable::FormatDouble(ttl_s, 0) + " s",
-           TextTable::FormatDouble(100.0 * double(hits) /
-                                       double(latencies.count()),
-                                   1) +
-               "%",
-           TextTable::FormatDouble(latencies.mean()),
-           TextTable::FormatDouble(latencies.Quantile(0.5)),
-           std::to_string(stale)});
-    }
-    std::printf("(f) in-network caching (Section VII future work):\n%s",
-                table.Render().c_str());
-    std::printf("longer TTL -> more one-intra-hop answers but stale hits "
-                "after mobility\n\n");
-  }
-
-  // (g) sparse address spaces: Algorithm 1's rehash-until-hit vs the
+  // (f) sparse address spaces: Algorithm 1's rehash-until-hit vs the
   //     two-level bucketing scheme of Section III-B / Figure 3.
   {
     const GuidHashFamily hashes(2, 0x5eedf00dULL);
@@ -283,7 +203,7 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf), "%.2e", 1.0 / density);
     table.AddRow({"rehash-until-hit (Algorithm 1)", buf});
     table.AddRow({"two-level bucket index (Fig 3)", "2"});
-    std::printf("(g) sparse (IPv6-like) address space, announced density "
+    std::printf("(f) sparse (IPv6-like) address space, announced density "
                 "%.2e:\n%s",
                 density, table.Render().c_str());
     std::printf("bucket index resolved %llu/%llu GUIDs in exactly two "
@@ -292,7 +212,7 @@ int main(int argc, char** argv) {
                 index.max_bucket_size());
   }
 
-  // (h) topology robustness: the K-replica gains must not be an artifact
+  // (g) topology robustness: the K-replica gains must not be an artifact
   //     of the jellyfish/preferential-attachment latency model. Re-run the
   //     Figure 4 sweep on the geographically embedded topology (distance-
   //     proportional latencies, regional peering).
@@ -307,7 +227,7 @@ int main(int argc, char** argv) {
     for (const auto& [k, samples] : sweep) {
       bench::PrintSummaryRow(table, std::to_string(k), samples);
     }
-    std::printf("(h) topology robustness — same sweep on a geographically\n"
+    std::printf("(g) topology robustness — same sweep on a geographically\n"
                 "    embedded topology (regional peering, distance-based\n"
                 "    latencies). The K ordering and relative gains must\n"
                 "    persist:\n%s",

@@ -1,8 +1,8 @@
 // Figure 8 (extension): goodput and latency quantiles vs offered load.
 // The paper assumes mapping servers have "sufficient resources" (Section
 // IV-B); this experiment drops that assumption. Each sweep runs an
-// open-loop Poisson lookup stream (workload/arrivals.h) through the
-// event-driven executor with a per-AS serving tier (src/serve/) installed:
+// open-loop Poisson lookup stream (workload/arrivals.h) through the wire
+// protocol with a per-AS serving tier (src/serve/) installed:
 // bounded FIFO queues, optional token-bucket admission, exponential
 // service. Past the capacity of the hottest replica server, queue waits
 // inflate the tail quantiles and sheds turn into timeouts, fall-through

@@ -4,34 +4,31 @@
 // requirement is that resolution completes well inside voice-handoff
 // budgets (~100 ms for the 95th percentile).
 //
-// Run on the discrete-event kernel: moves and re-resolutions are scheduled
-// events, and the staleness window of Section III-D-2 (query racing an
-// in-flight update) is shown explicitly.
+// Run on the wire protocol over the discrete-event kernel: moves and
+// re-resolutions are scheduled events, and the staleness window of Section
+// III-D-2 (a query racing the in-flight update messages) is shown
+// explicitly.
 //
 //   ./build/examples/mobility_session
 #include <cstdio>
 
 #include "common/stats.h"
-#include "core/dmap_service.h"
-#include "event/simulator.h"
+#include "proto/network.h"
 #include "sim/environment.h"
-#include "sim/event_driven.h"
 
 int main() {
   using namespace dmap;
 
   const SimEnvironment env =
       BuildEnvironment(EnvironmentParams::Scaled(2000, /*seed=*/7));
-  DMapOptions options;
+  ProtocolNetworkOptions options;
   options.k = 5;
-  DMapService dmap(env.graph, env.table, options);
+  ProtocolNetwork net(env.graph, env.table, options);
+  Simulator& sim = net.simulator();
 
   const Guid phone = Guid::FromSequence(0xca11);
   const AsId correspondent = 55;
-  (void)dmap.Insert(phone, NetworkAddress{100, 1});
-
-  Simulator sim;
-  EventDrivenLookup resolver(sim, dmap);
+  net.InsertAsync(phone, NetworkAddress{100, 1}, [](const UpdateResult&) {});
   SampleSet handoff_latencies;
 
   // The phone's trajectory: a new AS every ~2 minutes of simulated time.
@@ -47,25 +44,28 @@ int main() {
       // The binding update propagates to all replicas in parallel; until it
       // lands, queriers can still receive the previous NA (Section
       // III-D-2) and retry.
-      const UpdateResult up =
-          dmap.Update(phone, NetworkAddress{new_as, std::uint32_t(i) + 2});
-      std::printf("t=%7.1fs  phone re-attached to AS %-5u (update took "
-                  "%5.1f ms across %zu replicas)\n",
-                  sim.Now().seconds(), new_as, up.latency_ms,
-                  up.replicas.size());
+      std::printf("t=%7.1fs  phone re-attached to AS %u\n",
+                  sim.Now().seconds(), new_as);
+      net.InsertAsync(phone, NetworkAddress{new_as, std::uint32_t(i) + 2},
+                      [&](const UpdateResult& up) {
+                        std::printf("t=%7.1fs  update acknowledged after "
+                                    "%5.1f ms across %zu replicas\n",
+                                    sim.Now().seconds(), up.latency_ms,
+                                    up.replicas.size());
+                      });
 
       // The correspondent notices loss of connectivity and re-resolves.
-      resolver.LookupAsync(
-          phone, correspondent, SimTime::Millis(1.0),
-          [&, new_as](const LookupResult& r) {
-            handoff_latencies.Add(r.latency_ms);
-            const bool fresh = r.found && r.nas.AttachedTo(new_as);
-            std::printf("t=%7.1fs  re-resolution: %s at %s in %5.1f ms%s\n",
-                        sim.Now().seconds(), r.found ? "phone" : "nothing",
-                        r.found ? ToString(r.nas[0]).c_str() : "-",
-                        r.latency_ms,
-                        fresh ? "" : "  [stale - would retry]");
-          });
+      sim.Schedule(SimTime::Millis(1.0), [&, new_as] {
+        net.LookupAsync(phone, correspondent, [&, new_as](
+                                                  const LookupResult& r) {
+          handoff_latencies.Add(r.latency_ms);
+          const bool fresh = r.found && r.nas.AttachedTo(new_as);
+          std::printf("t=%7.1fs  re-resolution: %s at %s in %5.1f ms%s\n",
+                      sim.Now().seconds(), r.found ? "phone" : "nothing",
+                      r.found ? ToString(r.nas[0]).c_str() : "-",
+                      r.latency_ms, fresh ? "" : "  [stale - would retry]");
+        });
+      });
     });
   }
 

@@ -35,10 +35,14 @@ class Ipv4Address {
   std::uint32_t value_ = 0;
 };
 
-// The paper's "IP distance" (Section III-B): for k-bit addresses A and B,
+// IP distance for the deputy rule (Section III-B). The paper writes, for
+// k-bit addresses A and B,
 //   IPdist(A, B) = sum_i |A_i - B_i| * 2^i
-// where A_i is the i-th bit. For per-bit values this equals |A - B| treated
-// as unsigned integers, which is how we compute it.
+// where A_i is the i-th bit. Read bit by bit, that sum is A XOR B — it is
+// NOT |A - B| (A=2, B=1: the sum is 3, |A - B| is 1). This function
+// deliberately computes |A - B| over the unsigned integers, the numeric
+// distance along the address line; DESIGN.md records this as a deviation
+// from the literal formula.
 constexpr std::uint64_t IpDistance(Ipv4Address a, Ipv4Address b) {
   const std::uint32_t x = a.value();
   const std::uint32_t y = b.value();

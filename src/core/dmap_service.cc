@@ -398,7 +398,7 @@ LookupResult DMapService::LookupInternal(const Guid& guid, AsId querier,
     if (failures_.IsFailed(host)) {
       // The client burns its whole retry budget on a dead replica before
       // falling through (fault/retry_policy.h keeps this aligned with the
-      // event-driven and wire paths).
+      // wire path).
       const double cost = TotalTimeoutCostMs(
           options_.failure_timeout_ms, options_.probe_retries,
           options_.retry_backoff);

@@ -16,8 +16,8 @@
 //     newly-announcing ASs perform (Section III-D-1).
 //
 // The service computes response times in closed form from the PathOracle.
-// The event-driven wrapper in sim/ executes the same exchanges on the
-// discrete-event kernel; tests assert both agree.
+// The wire protocol in proto/ executes the same exchanges as messages on
+// the discrete-event kernel; tests assert both agree.
 #pragma once
 
 #include <cstdint>
@@ -114,8 +114,8 @@ enum class ResolverStatus : std::uint8_t { kOk, kUnsupported, kQuorumFailed };
 
 // Resolves a configured write/read quorum against `n` participating
 // replicas: 0 selects a majority (n/2 + 1), any other value is clamped to
-// [1, n]. Shared by the closed-form, event-driven and wire paths so the
-// three agree on when a quorum operation completes.
+// [1, n]. Shared by the closed-form and wire paths so the two agree on
+// when a quorum operation completes.
 inline int ResolveQuorum(int configured, int n) {
   if (n < 1) return 1;
   if (configured == 0) return n / 2 + 1;
@@ -135,9 +135,9 @@ struct ResolverOutcome {
   // replica that resolved the operation, and how its admission went. Every
   // backend without a capacity model — the closed form and all baselines —
   // keeps the defaults (zero-delay kServed), so the cross-backend contract
-  // stays uniform; only the event-driven and wire executors with a
-  // ServingTier installed report anything else. A lookup that exhausted
-  // its plan with at least one probe shed reports kShed.
+  // stays uniform; only the wire executor with a ServingTier installed
+  // reports anything else. A lookup that exhausted its plan with at least
+  // one probe shed reports kShed.
   double queue_delay_ms = 0.0;
   AdmissionOutcome admission = AdmissionOutcome::kServed;
   std::optional<ProbeTrace> trace;  // filled only for sampled operations
@@ -313,12 +313,10 @@ class DMapService {
   void SetFailedAses(const std::vector<AsId>& failed);
 
   // Installs a full failure schedule (fault/failure_view.h). The closed
-  // form consults the static view (IsFailed); the event-driven wrapper
-  // consults IsFailedAt at probe time, so time-varying windows only take
+  // form consults the static view (IsFailed); the wire protocol consults
+  // the scheduled view at delivery time, so time-varying windows only take
   // effect on that path.
   void SetFailureView(const FailureView& view) { failures_ = view; }
-  const FailureView& failure_view() const { return failures_; }
-  FailureView& failure_view() { return failures_; }
 
   // Re-derives the replica set of `guid` against the current authoritative
   // table and migrates entries accordingly — the net effect of the
@@ -332,21 +330,15 @@ class DMapService {
   std::vector<Guid> GuidsStoredIn(AsId as, const Cidr& prefix) const;
 
   // The ordered global probe plan (host, RTT ms) a lookup from `querier`
-  // would follow — first element is probed first. Exposed so the event-
-  // driven executor in sim/ can replay the identical exchange on the
-  // discrete-event kernel.
+  // would follow — first element is probed first. Exposed so tests can
+  // aim failures at the replica a wire lookup will try first.
   std::vector<std::pair<AsId, double>> ProbePlan(const Guid& guid,
                                                  AsId querier);
 
-  bool IsFailed(AsId as) const { return failures_.IsFailed(as); }
-  bool IsFailedAt(AsId as, SimTime t) const {
-    return failures_.IsFailedAt(as, t);
-  }
-
-  // Replica-store read for tests, the event-driven executor and the
-  // staleness bookkeeping: the entry stored for `guid` at AS `as`, or
-  // nullptr. Goes through the shard snapshot when fresh (lock-free), the
-  // mutable shard map otherwise — always the same answer.
+  // Replica-store read for tests and the staleness bookkeeping: the entry
+  // stored for `guid` at AS `as`, or nullptr. Goes through the shard
+  // snapshot when fresh (lock-free), the mutable shard map otherwise —
+  // always the same answer.
   const MappingEntry* StoreLookup(AsId as, const Guid& guid) const {
     return store_.Read(as, guid);
   }

@@ -1,8 +1,8 @@
-// Resolver-side mapping cache — the promotion of the ablation-only
-// MappingCache (core/cache.h) onto the lookup hot path. Every border
-// gateway keeps recently resolved GUID->NA mappings with a TTL; a fresh
-// hit answers in one intra-AS round trip instead of an inter-AS probe
-// (the locality argument of the Kademlia-caching literature in PAPERS.md).
+// Resolver-side mapping cache — the one mapping cache, on the lookup hot
+// path of both executors. Every border gateway keeps recently resolved
+// GUID->NA mappings with a TTL; a fresh hit answers in one intra-AS round
+// trip instead of an inter-AS probe (the locality argument of the
+// Kademlia-caching literature in PAPERS.md).
 // The cost is bounded staleness: a cached entry can outlive a mobility
 // update for up to the TTL, and that staleness is *measured* (stale_served
 // counters, scored against the PR 9 committed frontier), never assumed
@@ -84,8 +84,8 @@ class ResolverCache {
 
   const CacheConfig& config() const { return config_; }
 
-  // ---- Single-owner serial path (wire / event-driven executors, each of
-  // which owns a private instance and drives it from one simulator loop;
+  // ---- Single-owner serial path (the wire executor, which owns a
+  // private instance and drives it from one simulator loop;
   // NOT safe for concurrent callers — parallel phases use Probe/RecordFill
   // on a shared instance instead). --------------------------------------
 

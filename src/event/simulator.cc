@@ -84,6 +84,15 @@ std::uint64_t Simulator::RunUntil(SimTime deadline) {
   return n;
 }
 
+void Simulator::ResetClock() {
+  if (!Empty()) {
+    throw std::logic_error("Simulator::ResetClock: events still pending");
+  }
+  while (!queue_.empty()) queue_.pop();  // cancelled leftovers only
+  *cancelled_count_ = 0;
+  now_ = SimTime::Zero();
+}
+
 void Simulator::Stop() {
   stop_requested_ = true;
   while (!queue_.empty()) queue_.pop();

@@ -89,6 +89,13 @@ class Simulator {
   // the current event finishes.
   void Stop();
 
+  // Rewinds the clock of an idle simulator to zero, so a measurement phase
+  // starts on its own timeline after a setup phase (e.g. a bulk load) has
+  // drained. Anything that kept absolute times from before the rewind
+  // would see time run backwards. Throws std::logic_error if any event is
+  // still pending.
+  void ResetClock();
+
   bool Empty() const { return PendingEvents() == 0; }
   std::size_t PendingEvents() const {
     return queue_.size() - *cancelled_count_;

@@ -67,7 +67,7 @@ bool FailureView::IsPartitionedAt(AsId a, AsId b, SimTime t) const {
   return false;
 }
 
-bool FailureView::IsFailedAt(AsId as, SimTime t) const {
+bool FailureView::IsDownAt(AsId as, SimTime t) const {
   const auto it = windows_.find(as);
   if (it == windows_.end()) return false;
   for (const Window& w : it->second) {

@@ -11,8 +11,8 @@
 //
 //   * IsFailed(as)        — the static view (window covering time zero),
 //                           what the closed-form path means by "failed";
-//   * IsFailedAt(as, t)   — the scheduled view, what the event-driven and
-//                           wire paths consult at probe/delivery time.
+//   * IsDownAt(as, t)     — the scheduled view, what the wire path
+//                           consults at delivery time.
 //
 // A static failure (SetFailed / Fail(as)) is just a window spanning all of
 // time, so a scenario configured once through either API is visible to
@@ -70,10 +70,10 @@ class FailureView {
 
   // Static view: is `as` failed in the window covering time zero? This is
   // what the closed-form (timeless) resolution paths consult.
-  bool IsFailed(AsId as) const { return IsFailedAt(as, SimTime::Zero()); }
+  bool IsFailed(AsId as) const { return IsDownAt(as, SimTime::Zero()); }
 
   // Scheduled view: is `as` inside an outage window at simulated time `t`?
-  bool IsFailedAt(AsId as, SimTime t) const;
+  bool IsDownAt(AsId as, SimTime t) const;
 
   // Is the (a, b) pair inside a partition window at time `t`? Symmetric in
   // its arguments; the wire path consults this at delivery time, so a
@@ -85,7 +85,7 @@ class FailureView {
 
   // All ASs failed at `t`, ascending — feedable straight into the legacy
   // SetFailedAses of any backend, which is how the property tests assert
-  // the closed-form and event-driven paths agree on failure timings.
+  // the closed-form and wire paths agree on failure timings.
   std::vector<AsId> FailedAt(SimTime t) const;
 
   // True when no window (outage or partition) is registered at all.

@@ -1,9 +1,8 @@
-// Shared client retry/backoff arithmetic. Three execution paths time out on
-// unresponsive replicas — the closed-form DMapService, the event-driven
-// wrapper in sim/, and the wire protocol in proto/ — and the agreement
-// tests require all of them to charge the same amount of simulated time
-// for the same fault. Keeping the geometry here, rather than three hand
-// rolled loops, is what keeps them aligned.
+// Shared client retry/backoff arithmetic. Two execution paths time out on
+// unresponsive replicas — the closed-form DMapService and the wire
+// protocol in proto/ — and the agreement tests require both to charge the
+// same amount of simulated time for the same fault. Keeping the geometry
+// here, rather than two hand rolled loops, is what keeps them aligned.
 //
 // Policy: a probe's first timeout is `base_timeout_ms`; each retransmission
 // multiplies it by `backoff` (deterministic exponential backoff, no

@@ -231,7 +231,7 @@ void ProtocolNetwork::Send(const Message& message) {
           // lets it through. A pairwise partition between the endpoints
           // swallows it the same way — both ASs are up, they just cannot
           // hear each other.
-          if (failures_.IsFailedAt(dst, sim_.Now()) ||
+          if (failures_.IsDownAt(dst, sim_.Now()) ||
               failures_.IsPartitionedAt(src, dst, sim_.Now())) {
             ++messages_dropped_;
             Bump(delivery_drops_, ins_.delivery_drops);
@@ -847,7 +847,7 @@ void ProtocolNetwork::LookupAsync(
 
   // Local-replica race (Section III-C).
   if (options_.local_replica &&
-      !failures_.IsFailedAt(querier, sim_.Now())) {
+      !failures_.IsDownAt(querier, sim_.Now())) {
     if (const MappingEntry* entry =
             nodes_[querier]->store().Lookup(guid)) {
       const MappingEntry local = *entry;

@@ -108,10 +108,9 @@ class ProtocolNetwork {
   // Closes the outage at the current sim time; the AS answers again.
   void RecoverAs(AsId as);
 
-  // Shares a failure schedule with the closed-form and event-driven paths:
-  // configure a scenario once, hand the same view everywhere.
+  // Shares a failure schedule with the closed-form path: configure a
+  // scenario once, hand the same view to both.
   void SetFailureView(const FailureView& view) { failures_ = view; }
-  const FailureView& failure_view() const { return failures_; }
 
   // Expands `plan` into this network: its crash/outage windows are merged
   // into the failure view, store wipes are scheduled as simulator events,
@@ -132,7 +131,6 @@ class ProtocolNetwork {
   // the infinite-capacity behaviour bit-for-bit. The tier must outlive
   // the network and must not be shared across concurrent simulators.
   void SetServingTier(ServingTier* tier) { serving_ = tier; }
-  ServingTier* serving_tier() const { return serving_; }
 
   // Registers the fault.* instruments and mirrors the fault counters into
   // `registry` under shard `shard` (the network itself is serial; parallel

@@ -46,9 +46,9 @@ struct ResponseTimeConfig {
   PathOracleBackend path_oracle = PathOracleBackend::kHub;
 
   // Mapping-server capacity model (src/serve/). Consulted only by the
-  // executors that play messages out in time — the event-driven path and
-  // the offered-load harness; the closed-form sweeps ignore it (they have
-  // no arrival process, so a queue is meaningless there). Disabled by
+  // offered-load harness, which plays lookups out in time on the wire
+  // protocol; the closed-form sweeps ignore it (they have no arrival
+  // process, so a queue is meaningless there). Disabled by
   // default: every harness is bit-identical to the pre-serving-tier
   // behaviour when `serving.enabled` is false.
   ServingConfig serving;

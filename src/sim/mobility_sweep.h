@@ -10,7 +10,7 @@
 //    changes message count and completion time, never state.
 //
 //  * TTL panel — the staleness-vs-hit-rate frontier of the resolver-side
-//    cache. One event-driven simulation per TTL value: the handoff
+//    cache. One phased closed-form replay per TTL value: the handoff
 //    schedule runs as batched updates while a Poisson lookup stream over
 //    the mobile GUIDs drives a private ResolverCache; the panel reports
 //    hit rate, the fraction of cache answers that were stale (behind the

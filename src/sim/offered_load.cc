@@ -1,23 +1,29 @@
 #include "sim/offered_load.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "proto/network.h"
 #include "runtime/thread_pool.h"
-#include "sim/event_driven.h"
 
 namespace dmap {
 namespace {
 
-DMapOptions MakeOptions(const ResponseTimeConfig& config) {
-  DMapOptions options;
+// The wire client orders replicas by RTT alone, so the fewest-hops
+// selection of the closed form has no counterpart here; reject it rather
+// than silently sweeping a different policy.
+ProtocolNetworkOptions MakeOptions(const ResponseTimeConfig& config) {
+  if (config.selection != ReplicaSelection::kLowestRtt) {
+    throw std::invalid_argument(
+        "OfferedLoadConfig: base.selection must be kLowestRtt (the wire "
+        "path orders replicas by RTT only)");
+  }
+  ProtocolNetworkOptions options;
   options.k = config.k;
   options.local_replica = config.local_replica;
-  options.selection = config.selection;
   options.hash_seed = config.hash_seed;
-  options.store_shards = config.shards;
-  options.measure_update_latency = false;
   return options;
 }
 
@@ -81,18 +87,27 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
     }
   }
 
-  // Serial setup: one service, one placement, shared read snapshots. The
-  // measurement phase only reads (ProbePlan/StoreLookup/oracle), which is
-  // the same share-across-workers pattern as RunResponseTimeExperiment.
-  DMapService service(env.graph, env.table, MakeOptions(config.base));
-  if (config.base.path_oracle == PathOracleBackend::kHub) {
-    service.oracle().SetHubLabels(EnsureHubLabels(env, config.base.threads));
-  }
+  // Serial setup: one placement, loaded over the wire into one network per
+  // point. The sends are only scheduled here; each point drains its own
+  // load inside the parallel phase, so points share nothing mutable (the
+  // hub labels are read-only).
+  const ProtocolNetworkOptions net_options = MakeOptions(config.base);
+  const HubLabels* labels =
+      config.base.path_oracle == PathOracleBackend::kHub
+          ? EnsureHubLabels(env, config.base.threads)
+          : nullptr;
   WorkloadGenerator workload(env.graph, config.base.workload);
-  for (const InsertOp& op : workload.Inserts()) {
-    (void)service.Insert(op.guid, op.na);
+  const std::vector<InsertOp> inserts = workload.Inserts();
+  const std::size_t num_points = config.offered_rates_per_s.size();
+  std::vector<std::unique_ptr<ProtocolNetwork>> networks(num_points);
+  for (std::unique_ptr<ProtocolNetwork>& net : networks) {
+    net = std::make_unique<ProtocolNetwork>(env.graph, env.table,
+                                            net_options);
+    if (labels != nullptr) net->oracle().SetHubLabels(labels);
+    for (const InsertOp& op : inserts) {
+      net->InsertAsync(op.guid, op.na, [](const UpdateResult&) {});
+    }
   }
-  service.RefreshReadSnapshots();
 
   ThreadPool pool(config.base.threads);
   MetricsRegistry* metrics = config.base.metrics;
@@ -105,7 +120,6 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
   if (tracer != nullptr) tracer->EnsureWorkers(pool.size());
 
   const double mu_eff = EffectiveServiceRatePerS(config.base.serving);
-  const std::size_t num_points = config.offered_rates_per_s.size();
   OfferedLoadResult result;
   result.points.resize(num_points);
 
@@ -125,10 +139,12 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
     const OpenLoopArrivals generator(env.graph, workload, arrival_params);
     const std::vector<ArrivalOp> stream = generator.Generate();
 
-    Simulator sim;
-    EventDrivenLookup exec(sim, service);
+    ProtocolNetwork& net = *networks[point];
+    Simulator& sim = net.simulator();
+    sim.Run();  // drain the load, then start the arrivals' own timeline
+    sim.ResetClock();
     ServingTier tier(serving);
-    exec.SetServingTier(&tier);
+    net.SetServingTier(&tier);
 
     // Per-point histogram: the p50/p99/p999 of this point come from bucket
     // interpolation over this registry, per the obs quantile contract.
@@ -142,35 +158,35 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
     double queue_delay_sum_ms = 0.0;
 
     for (const ArrivalOp& op : stream) {
-      exec.LookupAsync(
-          op.guid, op.source, SimTime::Millis(op.time_ms),
-          [&, guid = op.guid, source = op.source](const LookupResult& r) {
-            if (r.found) {
-              ++out.found;
-              queue_delay_sum_ms += r.queue_delay_ms;
-              local.Observe(local_latency, r.latency_ms, 0);
-              if (metrics != nullptr) {
-                metrics->Observe(shared.latency_ms, r.latency_ms, worker);
-                metrics->Observe(shared.queue_delay_ms, r.queue_delay_ms,
-                                 worker);
-              }
-            } else {
-              ++out.failed;
+      sim.Schedule(SimTime::Millis(op.time_ms), [&, &op = op] {
+        net.LookupAsync(op.guid, op.source, [&](const LookupResult& r) {
+          if (r.found) {
+            ++out.found;
+            queue_delay_sum_ms += r.queue_delay_ms;
+            local.Observe(local_latency, r.latency_ms, 0);
+            if (metrics != nullptr) {
+              metrics->Observe(shared.latency_ms, r.latency_ms, worker);
+              metrics->Observe(shared.queue_delay_ms, r.queue_delay_ms,
+                               worker);
             }
-            if (tracer != nullptr && tracer->ShouldTrace(guid)) {
-              ProbeTrace trace;
-              trace.op = 'L';
-              trace.guid_fp = guid.Fingerprint64();
-              trace.querier = source;
-              trace.found = r.found;
-              trace.local_won = r.served_locally;
-              trace.latency_ms = r.latency_ms;
-              trace.queue_delay_ms = r.queue_delay_ms;
-              trace.admission = r.admission;
-              trace.attempts = r.attempts;
-              tracer->Record(worker, std::move(trace));
-            }
-          });
+          } else {
+            ++out.failed;
+          }
+          if (tracer != nullptr && tracer->ShouldTrace(op.guid)) {
+            ProbeTrace trace;
+            trace.op = 'L';
+            trace.guid_fp = op.guid.Fingerprint64();
+            trace.querier = op.source;
+            trace.found = r.found;
+            trace.local_won = r.served_locally;
+            trace.latency_ms = r.latency_ms;
+            trace.queue_delay_ms = r.queue_delay_ms;
+            trace.admission = r.admission;
+            trace.attempts = r.attempts;
+            tracer->Record(worker, std::move(trace));
+          }
+        });
+      });
     }
     sim.Run();
 
@@ -198,6 +214,7 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
                         : 0.0;
     out.hottest_mm1 = AnalyzeMM1(
         double(hot_arrivals) / arrival_params.horizon_s, mu_eff);
+    networks[point].reset();  // before `tier` goes out of scope
   });
 
   // Serial merge in point order: mirror the per-point totals into the

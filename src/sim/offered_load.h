@@ -1,17 +1,18 @@
 // Offered-load experiment (Figure 8): goodput and latency quantiles of the
 // lookup path as the open-loop arrival rate sweeps past the serving tier's
 // capacity. Each sweep point replays the same placed mapping state under a
-// Poisson arrival stream (workload/arrivals.h) through the event-driven
-// executor with a ServingTier installed; overload shows up as sheds →
-// timeouts → fall-through, and ultimately as goodput falling below the
-// offered rate. The measured saturation point is cross-checked against the
-// analytic M/M/1 model (analysis/queueing.h) of the hottest server.
+// Poisson arrival stream (workload/arrivals.h) through the wire protocol
+// (proto/network.h) with a ServingTier installed; overload shows up as
+// sheds → timeouts → fall-through, and ultimately as goodput falling below
+// the offered rate. The measured saturation point is cross-checked against
+// the analytic M/M/1 model (analysis/queueing.h) of the hottest server.
 //
 // Determinism: points are the parallel unit. Each point owns a serial
-// Simulator + EventDrivenLookup + ServingTier seeded purely by the point
-// index, and per-point results are merged in point order — so the sweep is
-// bit-identical for every `threads` value (the CI load-smoke job byte-diffs
-// the exports at --threads 1 vs 4).
+// ProtocolNetwork (with its own simulator and latency oracle) + ServingTier
+// seeded purely by the point index, and per-point results are merged in
+// point order — so the sweep is bit-identical for every `threads` value and
+// for either path-oracle backend (the CI load-smoke job byte-diffs the
+// exports at --threads 1 vs 4, and lru vs hub at --threads 4).
 #pragma once
 
 #include <vector>
@@ -90,9 +91,12 @@ struct OfferedLoadResult {
 // refill rate when that admission policy is active with a nonzero rate.
 double EffectiveServiceRatePerS(const ServingConfig& config);
 
-// Runs the sweep. Placement (service build + mapping load) happens once;
-// each point replays lookups against the same read snapshots. Throws
-// std::invalid_argument if config.base.serving is disabled or invalid.
+// Runs the sweep. The placement is drawn once and loaded over the wire
+// into each point's network before the parallel phase; each point drains
+// that load, installs its tier and replays its arrivals. Throws
+// std::invalid_argument if config.base.serving is disabled or invalid, or
+// if config.base.selection is not kLowestRtt (the wire client orders
+// replicas by RTT only).
 OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
                                       const OfferedLoadConfig& config);
 

@@ -33,8 +33,9 @@ TEST(Ipv4AddressTest, ParseInvalid) {
 }
 
 TEST(IpDistanceTest, MatchesAbsoluteDifference) {
-  // The paper's bitwise-weighted definition sum |A_i - B_i| 2^i equals the
-  // absolute integer difference.
+  // The code uses the absolute integer difference on purpose; the paper's
+  // bitwise-weighted sum |A_i - B_i| 2^i is A XOR B, a different metric
+  // (DESIGN.md records the deviation).
   const Ipv4Address a(100), b(300);
   EXPECT_EQ(IpDistance(a, b), 200u);
   EXPECT_EQ(IpDistance(b, a), 200u);
@@ -42,6 +43,9 @@ TEST(IpDistanceTest, MatchesAbsoluteDifference) {
   // No overflow at the extremes.
   EXPECT_EQ(IpDistance(Ipv4Address(0), Ipv4Address(0xffffffff)),
             0xffffffffull);
+  // Where the two metrics part: for A=2, B=1 the XOR reading gives 3, the
+  // numeric distance the code computes gives 1.
+  EXPECT_EQ(IpDistance(Ipv4Address(2), Ipv4Address(1)), 1u);
 }
 
 TEST(CidrTest, CanonicalisesBase) {

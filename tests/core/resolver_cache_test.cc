@@ -82,8 +82,12 @@ TEST(ResolverCacheTest, TtlExpiryEvictsOnSerialAccess) {
   ResolverCache cache(SmallConfig(64, /*ttl_ms=*/100.0));
   const Guid g = Guid::FromSequence(2);
   cache.Put(7, g, Entry(42), SimTime::Zero());
-  EXPECT_NE(cache.Get(7, g, SimTime::Millis(100)), nullptr);
-  EXPECT_EQ(cache.Get(7, g, SimTime::Millis(101)), nullptr);
+  // A re-Put refreshes both the value and the deadline.
+  cache.Put(7, g, Entry(9), SimTime::Millis(80));
+  const MappingEntry* hit = cache.Get(7, g, SimTime::Millis(180));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_TRUE(hit->nas.AttachedTo(9));
+  EXPECT_EQ(cache.Get(7, g, SimTime::Millis(180.001)), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.evictions(), 1u);
 }
@@ -211,6 +215,34 @@ TEST(ResolverCacheTest, CapacityOverflowEvictsLru) {
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.Get(7, Guid::FromSequence(1), SimTime::Seconds(3)), nullptr);
   EXPECT_NE(cache.Get(7, Guid::FromSequence(0), SimTime::Seconds(3)), nullptr);
+}
+
+TEST(ResolverCacheTest, EvictionOrderIsDeterministic) {
+  // Eviction follows pure LRU recency — a function of the access sequence
+  // alone, never of hash-table iteration order. Re-running the identical
+  // sequence must evict the identical keys, and the survivors are exactly
+  // the `capacity` most recently touched.
+  for (int run = 0; run < 2; ++run) {
+    ResolverCache cache(SmallConfig(3, 0.0, /*shards=*/1));
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      cache.Put(7, Guid::FromSequence(i), Entry(AsId(i)), SimTime::Zero());
+    }
+    // Touch 5 so the recency order is {5, 7, 6}, then insert 8: evicts 6.
+    ASSERT_NE(cache.Get(7, Guid::FromSequence(5), SimTime::Seconds(1)),
+              nullptr);
+    cache.Put(7, Guid::FromSequence(8), Entry(8), SimTime::Seconds(2));
+    EXPECT_EQ(cache.size(), 3u);
+    for (const std::uint64_t survivor : {5ull, 7ull, 8ull}) {
+      EXPECT_NE(cache.Get(7, Guid::FromSequence(survivor), SimTime::Seconds(3)),
+                nullptr)
+          << "run " << run << " survivor " << survivor;
+    }
+    for (const std::uint64_t evicted : {0ull, 1ull, 2ull, 3ull, 4ull, 6ull}) {
+      EXPECT_EQ(cache.Get(7, Guid::FromSequence(evicted), SimTime::Seconds(3)),
+                nullptr)
+          << "run " << run << " evicted " << evicted;
+    }
+  }
 }
 
 TEST(ResolverCacheTest, SnapshotRebuildsOnlyDirtyShards) {

@@ -202,6 +202,20 @@ TEST(SimulatorTest, ScheduleRepeatingRejectsNonPositivePeriod) {
       std::invalid_argument);
 }
 
+TEST(SimulatorTest, ResetClockRewindsAnIdleSimulator) {
+  Simulator sim;
+  sim.Schedule(SimTime::Millis(40), [] {});
+  sim.Schedule(SimTime::Millis(90), [] {}).Cancel();  // a cancelled leftover
+  sim.Run();
+  sim.ResetClock();
+  EXPECT_DOUBLE_EQ(sim.Now().millis(), 0.0);
+  double fired_at = -1.0;
+  sim.Schedule(SimTime::Millis(5), [&] { fired_at = sim.Now().millis(); });
+  EXPECT_THROW(sim.ResetClock(), std::logic_error);  // an event is pending
+  sim.Run();
+  EXPECT_DOUBLE_EQ(fired_at, 5.0);
+}
+
 TEST(SimulatorTest, ManyEventsStressOrdering) {
   Simulator sim;
   double last = -1;

@@ -15,7 +15,7 @@ TEST(FailureViewTest, EmptyViewReportsNothingFailed) {
   EXPECT_TRUE(view.Empty());
   EXPECT_FALSE(view.TimeVarying());
   EXPECT_FALSE(view.IsFailed(0));
-  EXPECT_FALSE(view.IsFailedAt(17, Ms(1e9)));
+  EXPECT_FALSE(view.IsDownAt(17, Ms(1e9)));
   EXPECT_TRUE(view.FailedAt(Ms(0)).empty());
 }
 
@@ -27,7 +27,7 @@ TEST(FailureViewTest, SetFailedMatchesLegacyStaticSemantics) {
   EXPECT_FALSE(view.IsFailed(4));
   // A static failure is a window spanning all of time: every instant of
   // the schedule agrees with the static view.
-  EXPECT_TRUE(view.IsFailedAt(3, Ms(1e12)));
+  EXPECT_TRUE(view.IsDownAt(3, Ms(1e12)));
   EXPECT_EQ(view.FailedAt(Ms(500.0)), (std::vector<AsId>{3, 7}));
   // Static windows are not "time-varying": the static view is exact.
   EXPECT_FALSE(view.TimeVarying());
@@ -42,9 +42,9 @@ TEST(FailureViewTest, FailOpensWindowFromGivenTime) {
   FailureView view;
   view.Fail(5, Ms(100.0));
   EXPECT_FALSE(view.IsFailed(5));  // static view: window misses time zero
-  EXPECT_FALSE(view.IsFailedAt(5, Ms(99.9)));
-  EXPECT_TRUE(view.IsFailedAt(5, Ms(100.0)));  // half-open: down_at included
-  EXPECT_TRUE(view.IsFailedAt(5, Ms(1e9)));    // never recovers
+  EXPECT_FALSE(view.IsDownAt(5, Ms(99.9)));
+  EXPECT_TRUE(view.IsDownAt(5, Ms(100.0)));  // half-open: down_at included
+  EXPECT_TRUE(view.IsDownAt(5, Ms(1e9)));    // never recovers
   EXPECT_TRUE(view.TimeVarying());
 }
 
@@ -52,8 +52,8 @@ TEST(FailureViewTest, RecoverClosesWindowsOpenAtThatTime) {
   FailureView view;
   view.Fail(5);  // down for all time
   view.Recover(5, Ms(50.0));
-  EXPECT_TRUE(view.IsFailedAt(5, Ms(49.9)));
-  EXPECT_FALSE(view.IsFailedAt(5, Ms(50.0)));  // half-open: up_at excluded
+  EXPECT_TRUE(view.IsDownAt(5, Ms(49.9)));
+  EXPECT_FALSE(view.IsDownAt(5, Ms(50.0)));  // half-open: up_at excluded
   EXPECT_TRUE(view.IsFailed(5));               // still down at time zero
 }
 
@@ -62,7 +62,7 @@ TEST(FailureViewTest, RecoverAtZeroErasesStaticFailure) {
   view.Fail(4);
   view.Recover(4);
   EXPECT_FALSE(view.IsFailed(4));
-  EXPECT_FALSE(view.IsFailedAt(4, Ms(123.0)));
+  EXPECT_FALSE(view.IsDownAt(4, Ms(123.0)));
 }
 
 TEST(FailureViewTest, AddWindowEnforcesOrderedBounds) {
@@ -70,18 +70,18 @@ TEST(FailureViewTest, AddWindowEnforcesOrderedBounds) {
   EXPECT_THROW(view.AddWindow(1, Ms(10.0), Ms(5.0)), std::invalid_argument);
   // An empty half-open window is legal and never fails the AS.
   view.AddWindow(1, Ms(10.0), Ms(10.0));
-  EXPECT_FALSE(view.IsFailedAt(1, Ms(10.0)));
+  EXPECT_FALSE(view.IsDownAt(1, Ms(10.0)));
 }
 
 TEST(FailureViewTest, DisjointWindowsEachTakeEffect) {
   FailureView view;
   view.AddWindow(2, Ms(10.0), Ms(20.0));
   view.AddWindow(2, Ms(30.0), Ms(40.0));
-  EXPECT_FALSE(view.IsFailedAt(2, Ms(9.9)));
-  EXPECT_TRUE(view.IsFailedAt(2, Ms(15.0)));
-  EXPECT_FALSE(view.IsFailedAt(2, Ms(25.0)));
-  EXPECT_TRUE(view.IsFailedAt(2, Ms(35.0)));
-  EXPECT_FALSE(view.IsFailedAt(2, Ms(40.0)));
+  EXPECT_FALSE(view.IsDownAt(2, Ms(9.9)));
+  EXPECT_TRUE(view.IsDownAt(2, Ms(15.0)));
+  EXPECT_FALSE(view.IsDownAt(2, Ms(25.0)));
+  EXPECT_TRUE(view.IsDownAt(2, Ms(35.0)));
+  EXPECT_FALSE(view.IsDownAt(2, Ms(40.0)));
   EXPECT_TRUE(view.TimeVarying());
 }
 
@@ -120,8 +120,8 @@ TEST(FailureViewTest, PartitionWindowsAreSymmetricAndTimed) {
   EXPECT_FALSE(view.IsPartitionedAt(3, 7, Ms(250.0)));
   EXPECT_FALSE(view.IsPartitionedAt(9, 7, Ms(250.0)));
   // Neither endpoint is *failed* — partitions are link state, not AS state.
-  EXPECT_FALSE(view.IsFailedAt(3, Ms(250.0)));
-  EXPECT_FALSE(view.IsFailedAt(9, Ms(250.0)));
+  EXPECT_FALSE(view.IsDownAt(3, Ms(250.0)));
+  EXPECT_FALSE(view.IsDownAt(9, Ms(250.0)));
 
   // Disjoint windows of the same pair each take effect; endpoint order at
   // insertion does not matter.
@@ -149,7 +149,7 @@ TEST(FailureViewTest, KForeverOutlastsAnySimulatedHorizon) {
   FailureView view;
   view.AddWindow(6, Ms(0.0), FailureView::kForever);
   // A decade of simulated milliseconds is still inside the window.
-  EXPECT_TRUE(view.IsFailedAt(6, Ms(3.2e11)));
+  EXPECT_TRUE(view.IsDownAt(6, Ms(3.2e11)));
 }
 
 }  // namespace

@@ -107,14 +107,14 @@ TEST(FaultInjectorTest, InstallScheduleExpandsCrashesAndCones) {
   FailureView view;
   injector.InstallSchedule(env.graph, view);
 
-  EXPECT_TRUE(view.IsFailedAt(5, SimTime::Millis(15.0)));
-  EXPECT_FALSE(view.IsFailedAt(5, SimTime::Millis(25.0)));
+  EXPECT_TRUE(view.IsDownAt(5, SimTime::Millis(15.0)));
+  EXPECT_FALSE(view.IsDownAt(5, SimTime::Millis(25.0)));
   // The regional outage takes down the provider and its whole cone, for
   // exactly the window.
   for (const AsId member : cone) {
-    EXPECT_TRUE(view.IsFailedAt(member, SimTime::Millis(150.0)))
+    EXPECT_TRUE(view.IsDownAt(member, SimTime::Millis(150.0)))
         << "cone member " << member;
-    EXPECT_FALSE(view.IsFailedAt(member, SimTime::Millis(250.0)))
+    EXPECT_FALSE(view.IsDownAt(member, SimTime::Millis(250.0)))
         << "cone member " << member;
   }
 
@@ -176,8 +176,8 @@ TEST(FaultInjectorTest, InstallScheduleExpandsAndValidatesPartitions) {
     EXPECT_TRUE(view.IsPartitionedAt(9, 3, SimTime::Millis(150.0)));
     EXPECT_FALSE(view.IsPartitionedAt(9, 3, SimTime::Millis(450.0)));
     // The cut is not an outage: both endpoints stay up.
-    EXPECT_FALSE(view.IsFailedAt(3, SimTime::Millis(150.0)));
-    EXPECT_FALSE(view.IsFailedAt(9, SimTime::Millis(150.0)));
+    EXPECT_FALSE(view.IsDownAt(3, SimTime::Millis(150.0)));
+    EXPECT_FALSE(view.IsDownAt(9, SimTime::Millis(150.0)));
   }
 
   // Either endpoint out of range is rejected with the same diagnostics as

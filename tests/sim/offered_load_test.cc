@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
@@ -75,14 +77,17 @@ TEST_F(OfferedLoadTest, EffectiveServiceRateCapsAtBucketRate) {
 }
 
 // The headline determinism contract: the sweep — including the metrics and
-// trace exports — is byte-identical for any worker count.
+// trace exports — is byte-identical for any worker count and for either
+// path-oracle backend. Each point owns its network and oracle, so the lru
+// backend shares no cache across workers.
 TEST_F(OfferedLoadTest, DeterministicAcrossThreadCounts) {
-  auto run = [&](unsigned threads, std::string* metrics_out,
-                 std::string* trace_out) {
+  auto run = [&](unsigned threads, PathOracleBackend backend,
+                 std::string* metrics_out, std::string* trace_out) {
     MetricsRegistry registry;
     ProbeTracer tracer(1u, /*sample_every=*/1);
     OfferedLoadConfig config = Config();
     config.base.threads = threads;
+    config.base.path_oracle = backend;
     config.base.metrics = &registry;
     config.base.tracer = &tracer;
     const OfferedLoadResult result = RunOfferedLoadSweep(env_, config);
@@ -93,21 +98,45 @@ TEST_F(OfferedLoadTest, DeterministicAcrossThreadCounts) {
   };
 
   std::string metrics_serial, trace_serial;
-  const OfferedLoadResult serial = run(1, &metrics_serial, &trace_serial);
-  std::string metrics_parallel, trace_parallel;
-  const OfferedLoadResult parallel =
-      run(7, &metrics_parallel, &trace_parallel);
-
-  ASSERT_EQ(serial.points.size(), parallel.points.size());
-  for (std::size_t i = 0; i < serial.points.size(); ++i) {
-    EXPECT_TRUE(SamePoint(serial.points[i], parallel.points[i]))
-        << "point " << i << " diverged across thread counts";
+  const OfferedLoadResult serial =
+      run(1, PathOracleBackend::kHub, &metrics_serial, &trace_serial);
+  const std::pair<unsigned, PathOracleBackend> variants[] = {
+      {7, PathOracleBackend::kHub},
+      {1, PathOracleBackend::kLru},
+      {4, PathOracleBackend::kLru},
+  };
+  for (const auto& [threads, backend] : variants) {
+    SCOPED_TRACE(testing::Message()
+                 << "threads=" << threads << " lru="
+                 << (backend == PathOracleBackend::kLru));
+    std::string metrics, trace;
+    const OfferedLoadResult other = run(threads, backend, &metrics, &trace);
+    ASSERT_EQ(serial.points.size(), other.points.size());
+    for (std::size_t i = 0; i < serial.points.size(); ++i) {
+      EXPECT_TRUE(SamePoint(serial.points[i], other.points[i]))
+          << "point " << i << " diverged";
+    }
+    EXPECT_EQ(serial.analytic_saturation_per_s,
+              other.analytic_saturation_per_s);
+    EXPECT_EQ(serial.measured_knee_per_s, other.measured_knee_per_s);
+    EXPECT_EQ(metrics_serial, metrics);
+    EXPECT_EQ(trace_serial, trace);
   }
-  EXPECT_EQ(serial.analytic_saturation_per_s,
-            parallel.analytic_saturation_per_s);
-  EXPECT_EQ(serial.measured_knee_per_s, parallel.measured_knee_per_s);
-  EXPECT_EQ(metrics_serial, metrics_parallel);
-  EXPECT_EQ(trace_serial, trace_parallel);
+}
+
+// The wire client orders replicas by RTT only; a config asking for the
+// closed form's fewest-hops selection fails before any work, naming the
+// field.
+TEST_F(OfferedLoadTest, RejectsSelectionTheWireCannotHonour) {
+  OfferedLoadConfig config = Config();
+  config.base.selection = ReplicaSelection::kFewestHops;
+  try {
+    (void)RunOfferedLoadSweep(env_, config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("selection"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(OfferedLoadTest, LightLoadServesEverythingAtNetworkLatency) {
