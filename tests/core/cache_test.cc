@@ -1,7 +1,16 @@
-#include "core/cache.h"
+// The mapping-cache contract: the single-owner Get/Put path of the
+// resolver cache (MappingCacheTest) and the cache DMapService consults
+// before any inter-AS probe (CachingDMapTest). The sharded, snapshot and
+// fill-lane machinery is covered by resolver_cache_test.cc.
+#include "core/resolver_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+
+#include "core/dmap_service.h"
 #include "sim/environment.h"
 
 namespace dmap {
@@ -11,12 +20,21 @@ MappingEntry Entry(AsId as, std::uint64_t version = 1) {
   return MappingEntry{NaSet(NetworkAddress{as, 1}), version};
 }
 
+// One shard so `capacity` is the exact LRU bound.
+CacheConfig Config(std::size_t capacity, double ttl_ms) {
+  CacheConfig config;
+  config.capacity = capacity;
+  config.ttl_ms = ttl_ms;
+  config.shards = 1;
+  return config;
+}
+
 TEST(MappingCacheTest, HitAfterPut) {
-  MappingCache cache(4, SimTime::Seconds(10));
+  ResolverCache cache(Config(4, 10'000.0));
   const Guid g = Guid::FromSequence(1);
-  EXPECT_EQ(cache.Get(g, SimTime::Zero()), nullptr);
-  cache.Put(g, Entry(7), SimTime::Zero());
-  const MappingEntry* hit = cache.Get(g, SimTime::Seconds(1));
+  EXPECT_EQ(cache.Get(7, g, SimTime::Zero()), nullptr);
+  cache.Put(7, g, Entry(7), SimTime::Zero());
+  const MappingEntry* hit = cache.Get(7, g, SimTime::Seconds(1));
   ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->nas.AttachedTo(7));
   EXPECT_EQ(cache.hits(), 1u);
@@ -24,155 +42,149 @@ TEST(MappingCacheTest, HitAfterPut) {
 }
 
 TEST(MappingCacheTest, TtlExpiry) {
-  MappingCache cache(4, SimTime::Seconds(10));
+  ResolverCache cache(Config(4, 10'000.0));
   const Guid g = Guid::FromSequence(2);
-  cache.Put(g, Entry(7), SimTime::Zero());
-  EXPECT_NE(cache.Get(g, SimTime::Seconds(10)), nullptr);  // exactly at TTL
-  EXPECT_EQ(cache.Get(g, SimTime::Seconds(10.001)), nullptr);
+  cache.Put(7, g, Entry(7), SimTime::Zero());
+  EXPECT_NE(cache.Get(7, g, SimTime::Seconds(10)), nullptr);  // exactly at TTL
+  EXPECT_EQ(cache.Get(7, g, SimTime::Seconds(10.001)), nullptr);
   EXPECT_EQ(cache.size(), 0u);  // expired entry evicted
 }
 
 TEST(MappingCacheTest, PutRefreshesTtlAndValue) {
-  MappingCache cache(4, SimTime::Seconds(10));
+  ResolverCache cache(Config(4, 10'000.0));
   const Guid g = Guid::FromSequence(3);
-  cache.Put(g, Entry(7), SimTime::Zero());
-  cache.Put(g, Entry(9), SimTime::Seconds(8));
-  const MappingEntry* hit = cache.Get(g, SimTime::Seconds(15));
+  cache.Put(7, g, Entry(7), SimTime::Zero());
+  cache.Put(7, g, Entry(9), SimTime::Seconds(8));
+  const MappingEntry* hit = cache.Get(7, g, SimTime::Seconds(15));
   ASSERT_NE(hit, nullptr);  // fresh until t=18
   EXPECT_TRUE(hit->nas.AttachedTo(9));
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(MappingCacheTest, LruEviction) {
-  MappingCache cache(2, SimTime::Seconds(100));
+  ResolverCache cache(Config(2, 100'000.0));
   const Guid a = Guid::FromSequence(10), b = Guid::FromSequence(11),
              c = Guid::FromSequence(12);
-  cache.Put(a, Entry(1), SimTime::Zero());
-  cache.Put(b, Entry(2), SimTime::Zero());
-  cache.Get(a, SimTime::Seconds(1));  // a now most recent
-  cache.Put(c, Entry(3), SimTime::Seconds(2));  // evicts b
-  EXPECT_NE(cache.Get(a, SimTime::Seconds(3)), nullptr);
-  EXPECT_EQ(cache.Get(b, SimTime::Seconds(3)), nullptr);
-  EXPECT_NE(cache.Get(c, SimTime::Seconds(3)), nullptr);
+  cache.Put(7, a, Entry(1), SimTime::Zero());
+  cache.Put(7, b, Entry(2), SimTime::Zero());
+  cache.Get(7, a, SimTime::Seconds(1));  // a now most recent
+  cache.Put(7, c, Entry(3), SimTime::Seconds(2));  // evicts b
+  EXPECT_NE(cache.Get(7, a, SimTime::Seconds(3)), nullptr);
+  EXPECT_EQ(cache.Get(7, b, SimTime::Seconds(3)), nullptr);
+  EXPECT_NE(cache.Get(7, c, SimTime::Seconds(3)), nullptr);
 }
 
 TEST(MappingCacheTest, Invalidate) {
-  MappingCache cache(4, SimTime::Seconds(100));
+  ResolverCache cache(Config(4, 100'000.0));
   const Guid g = Guid::FromSequence(4);
-  cache.Put(g, Entry(7), SimTime::Zero());
-  EXPECT_TRUE(cache.Invalidate(g));
-  EXPECT_FALSE(cache.Invalidate(g));
-  EXPECT_EQ(cache.Get(g, SimTime::Seconds(1)), nullptr);
-}
-
-TEST(MappingCacheTest, EvictionOrderIsDeterministic) {
-  // Eviction follows pure LRU recency — a function of the access sequence
-  // alone, never of hash-table iteration order. Re-running the identical
-  // sequence must evict the identical keys, and the survivors are exactly
-  // the `capacity` most recently touched.
-  for (int run = 0; run < 2; ++run) {
-    MappingCache cache(3, SimTime::Seconds(1000));
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      cache.Put(Guid::FromSequence(i), Entry(AsId(i)), SimTime::Zero());
-    }
-    // Touch 5 so the recency order is {5, 7, 6}, then insert 8: evicts 6.
-    ASSERT_NE(cache.Get(Guid::FromSequence(5), SimTime::Seconds(1)), nullptr);
-    cache.Put(Guid::FromSequence(8), Entry(8), SimTime::Seconds(2));
-    EXPECT_EQ(cache.size(), 3u);
-    for (const std::uint64_t survivor : {5ull, 7ull, 8ull}) {
-      EXPECT_NE(cache.Get(Guid::FromSequence(survivor), SimTime::Seconds(3)),
-                nullptr)
-          << "run " << run << " survivor " << survivor;
-    }
-    for (const std::uint64_t evicted : {0ull, 1ull, 2ull, 3ull, 4ull, 6ull}) {
-      EXPECT_EQ(cache.Get(Guid::FromSequence(evicted), SimTime::Seconds(3)),
-                nullptr)
-          << "run " << run << " evicted " << evicted;
-    }
-  }
+  cache.Put(7, g, Entry(7), SimTime::Zero());
+  EXPECT_EQ(cache.Invalidate(g), 1u);
+  EXPECT_EQ(cache.Invalidate(g), 0u);
+  EXPECT_EQ(cache.Get(7, g, SimTime::Seconds(1)), nullptr);
 }
 
 TEST(MappingCacheTest, ZeroCapacityThrows) {
-  EXPECT_THROW(MappingCache(0, SimTime::Seconds(1)), std::invalid_argument);
+  EXPECT_THROW(ResolverCache(Config(0, 1'000.0)), std::invalid_argument);
 }
 
+// DMapService with its resolver cache on. Lookups fill the querier's cache
+// only when a global replica answered (a local win already costs what a
+// hit would), and fills become visible at the next serial point
+// (RefreshReadSnapshots), so each test crosses one between lookups.
 class CachingDMapTest : public testing::Test {
  protected:
   CachingDMapTest()
-      : env_(BuildEnvironment(EnvironmentParams::Scaled(300, 51))),
-        service_(env_.graph, env_.table, [] {
-          DMapOptions o;
-          o.k = 3;
-          o.measure_update_latency = false;
-          return o;
-        }()) {}
+      : env_(BuildEnvironment(EnvironmentParams::Scaled(300, 51))) {}
+
+  std::unique_ptr<DMapService> Service(std::size_t capacity, double ttl_ms) {
+    DMapOptions o;
+    o.k = 3;
+    o.measure_update_latency = false;
+    o.cache = Config(capacity, ttl_ms);
+    return std::make_unique<DMapService>(env_.graph, env_.table, o);
+  }
+
+  // Precondition of every test: `querier` holds no replica of `guid`, so
+  // its first lookup is answered globally and fills the cache.
+  static bool HoldsReplica(const UpdateResult& insert, AsId querier) {
+    return std::find(insert.replicas.begin(), insert.replicas.end(),
+                     querier) != insert.replicas.end();
+  }
 
   SimEnvironment env_;
-  DMapService service_;
 };
 
 TEST_F(CachingDMapTest, SecondLookupServedFromCache) {
-  CachingDMap cached(service_, 128, SimTime::Seconds(30));
+  auto service = Service(128, 30'000.0);
   const Guid g = Guid::FromSequence(1);
-  (void)service_.Insert(g, NetworkAddress{10, 1});
+  ASSERT_FALSE(HoldsReplica(service->Insert(g, NetworkAddress{10, 1}), 200));
 
-  const auto first = cached.Lookup(g, 200, SimTime::Zero());
-  ASSERT_TRUE(first.result.found);
-  EXPECT_FALSE(first.from_cache);
+  const LookupResult first = service->Lookup(g, 200);
+  ASSERT_TRUE(first.found);
+  EXPECT_FALSE(first.served_from_cache);
 
-  const auto second = cached.Lookup(g, 200, SimTime::Seconds(1));
-  ASSERT_TRUE(second.result.found);
-  EXPECT_TRUE(second.from_cache);
-  EXPECT_FALSE(second.stale);
-  EXPECT_DOUBLE_EQ(second.result.latency_ms,
-                   2.0 * env_.graph.IntraLatencyMs(200));
-  EXPECT_LE(second.result.latency_ms, first.result.latency_ms);
+  service->RefreshReadSnapshots();
+  service->AdvanceCacheTime(SimTime::Seconds(1));
+  const LookupResult second = service->Lookup(g, 200);
+  ASSERT_TRUE(second.found);
+  EXPECT_TRUE(second.served_from_cache);
+  EXPECT_EQ(service->cache()->stale_served(), 0u);
+  EXPECT_DOUBLE_EQ(second.latency_ms, 2.0 * env_.graph.IntraLatencyMs(200));
+  EXPECT_LE(second.latency_ms, first.latency_ms);
 }
 
 TEST_F(CachingDMapTest, CacheIsPerAs) {
-  CachingDMap cached(service_, 128, SimTime::Seconds(30));
+  auto service = Service(128, 30'000.0);
   const Guid g = Guid::FromSequence(2);
-  (void)service_.Insert(g, NetworkAddress{10, 1});
-  cached.Lookup(g, 200, SimTime::Zero());
+  ASSERT_FALSE(HoldsReplica(service->Insert(g, NetworkAddress{10, 1}), 200));
+  (void)service->Lookup(g, 200);
+  service->RefreshReadSnapshots();
+  service->AdvanceCacheTime(SimTime::Seconds(1));
   // A different AS has its own cold cache.
-  const auto other = cached.Lookup(g, 100, SimTime::Seconds(1));
-  EXPECT_FALSE(other.from_cache);
+  EXPECT_FALSE(service->Lookup(g, 100).served_from_cache);
 }
 
 TEST_F(CachingDMapTest, StalenessDetectedAfterMobility) {
-  CachingDMap cached(service_, 128, SimTime::Seconds(30));
+  auto service = Service(128, 30'000.0);
   const Guid g = Guid::FromSequence(3);
-  (void)service_.Insert(g, NetworkAddress{10, 1});
-  cached.Lookup(g, 200, SimTime::Zero());  // warm the cache
+  ASSERT_FALSE(HoldsReplica(service->Insert(g, NetworkAddress{10, 1}), 200));
+  (void)service->Lookup(g, 200);  // warm the cache
+  service->RefreshReadSnapshots();
 
-  cached.Update(g, NetworkAddress{20, 2});  // host moves
+  (void)service->Update(g, NetworkAddress{20, 2});  // host moves
+  service->RefreshReadSnapshots();
 
-  const auto hit = cached.Lookup(g, 200, SimTime::Seconds(1));
-  ASSERT_TRUE(hit.result.found);
-  EXPECT_TRUE(hit.from_cache);
-  EXPECT_TRUE(hit.stale);  // cache still points at AS 10
-  EXPECT_TRUE(hit.result.nas.AttachedTo(10));
+  service->AdvanceCacheTime(SimTime::Seconds(1));
+  const LookupResult hit = service->Lookup(g, 200);
+  ASSERT_TRUE(hit.found);
+  EXPECT_TRUE(hit.served_from_cache);
+  EXPECT_EQ(service->cache()->stale_served(), 1u);  // still points at AS 10
+  EXPECT_TRUE(hit.nas.AttachedTo(10));
 
   // After the TTL the cache re-fetches the fresh mapping.
-  const auto fresh = cached.Lookup(g, 200, SimTime::Seconds(40));
-  EXPECT_FALSE(fresh.from_cache);
-  EXPECT_TRUE(fresh.result.nas.AttachedTo(20));
+  service->AdvanceCacheTime(SimTime::Seconds(40));
+  const LookupResult fresh = service->Lookup(g, 200);
+  EXPECT_FALSE(fresh.served_from_cache);
+  EXPECT_TRUE(fresh.nas.AttachedTo(20));
 }
 
 TEST_F(CachingDMapTest, HitRateGrowsWithRepeats) {
-  CachingDMap cached(service_, 1024, SimTime::Seconds(1000));
+  auto service = Service(1024, 1'000'000.0);
   for (int i = 0; i < 20; ++i) {
-    (void)service_.Insert(Guid::FromSequence(std::uint64_t(100 + i)),
-                          NetworkAddress{AsId(i), 1});
+    ASSERT_FALSE(HoldsReplica(
+        service->Insert(Guid::FromSequence(std::uint64_t(100 + i)),
+                        NetworkAddress{AsId(i), 1}),
+        250));
   }
   for (int round = 0; round < 5; ++round) {
+    service->AdvanceCacheTime(SimTime::Seconds(double(round)));
     for (int i = 0; i < 20; ++i) {
-      cached.Lookup(Guid::FromSequence(std::uint64_t(100 + i)), 250,
-                    SimTime::Seconds(double(round)));
+      (void)service->Lookup(Guid::FromSequence(std::uint64_t(100 + i)), 250);
     }
+    service->RefreshReadSnapshots();
   }
-  EXPECT_EQ(cached.total_misses(), 20u);
-  EXPECT_EQ(cached.total_hits(), 80u);
+  EXPECT_EQ(service->cache()->misses(), 20u);
+  EXPECT_EQ(service->cache()->hits(), 80u);
 }
 
 }  // namespace
