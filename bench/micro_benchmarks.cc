@@ -14,6 +14,7 @@
 #include "core/dmap_service.h"
 #include "core/hole_resolver.h"
 #include "core/mapping_store.h"
+#include "core/resolver_cache.h"
 #include "event/simulator.h"
 #include "obs/metrics_registry.h"
 #include "obs/probe_trace.h"
@@ -311,8 +312,9 @@ BENCHMARK(BM_ShardedLookup)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_SnapshotRefresh(benchmark::State& state) {
   // Cost of one serial write point: dirty a single entry, then republish
-  // the read snapshots. Only the written GUID's shard rebuilds (the epoch
-  // early-out skips the rest), so higher shard counts rebuild less.
+  // the read snapshots. Only the written GUID's shard republishes (the
+  // epoch early-out skips the rest), and it patches the one logged slot,
+  // so the cost is flat in both the shard count and the shard size.
   const unsigned shards = unsigned(state.range(0));
   ShardedMappingStore store(1000, shards);
   constexpr std::uint64_t kEntries = 100'000;
@@ -399,6 +401,41 @@ void BM_CacheHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheHit)->Arg(1)->Arg(8);
+
+void BM_CacheRefresh(benchmark::State& state) {
+  // One read-phase serial point of a mobility run: the fills of a
+  // 2,048-probe block merged into a full 16,384-entry cache (8 shards),
+  // then republished. About half the probes miss and fill, each fill
+  // evicting an LRU tail; the touched shards patch just those slots, so
+  // the cost follows the block, not the cache size. items = probes.
+  CacheConfig config;
+  config.capacity = 16'384;
+  ResolverCache cache(config);
+  constexpr std::uint64_t kKeys = 2 * 16'384;
+  constexpr std::size_t kBlock = 2'048;
+  const MappingEntry entry{NaSet(NetworkAddress{1, 1}), 1};
+  for (std::uint64_t key = 0; key < config.capacity; ++key) {
+    cache.RecordFill(0, AsId(key % 64), Guid::FromSequence(key), entry,
+                     SimTime::Zero());
+  }
+  cache.ApplyFills();
+  cache.RefreshSnapshots();
+  Rng rng(7);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      const std::uint64_t key = rng.NextBounded(kKeys);
+      const Guid guid = Guid::FromSequence(key);
+      if (cache.Probe(AsId(key % 64), guid, SimTime::Zero()) == nullptr) {
+        cache.RecordFill(0, AsId(key % 64), guid, entry, SimTime::Zero());
+      }
+    }
+    cache.ApplyFills();
+    cache.RefreshSnapshots();
+    benchmark::DoNotOptimize(cache.snapshots_fresh());
+  }
+  state.SetItemsProcessed(state.iterations() * kBlock);
+}
+BENCHMARK(BM_CacheRefresh)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace dmap

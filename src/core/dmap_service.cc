@@ -126,14 +126,13 @@ UpdateResult DMapService::WriteReplicas(const Guid& guid, OwnerState& state,
 
   const MappingEntry entry{state.nas, state.version, state.writer};
   for (const HostResolution& r : resolutions) {
-    if (store_.Lookup(r.host, guid) == nullptr) ++total_entries_;
     store_.Upsert(r.host, guid, entry, r.stored_address);
   }
   // Drop stale replicas (set difference; K is tiny so quadratic is fine).
   for (const AsId old_host : state.replicas) {
     if (std::find(new_replicas.begin(), new_replicas.end(), old_host) ==
         new_replicas.end()) {
-      if (store_.Erase(old_host, guid)) --total_entries_;
+      store_.Erase(old_host, guid);
     }
   }
   state.replicas = new_replicas;
@@ -146,11 +145,10 @@ UpdateResult DMapService::WriteReplicas(const Guid& guid, OwnerState& state,
       // also serves as a global replica.
       if (std::find(new_replicas.begin(), new_replicas.end(),
                     state.local_as) == new_replicas.end()) {
-        if (store_.Erase(state.local_as, guid)) --total_entries_;
+        store_.Erase(state.local_as, guid);
       }
     }
     if (new_local != kInvalidAs) {
-      if (store_.Lookup(new_local, guid) == nullptr) ++total_entries_;
       store_.Upsert(new_local, guid, entry);
     }
     state.local_as = new_local;
@@ -320,11 +318,9 @@ bool DMapService::Deregister(const Guid& guid) {
   if (it == owners_.end()) return false;
   OwnerState& state = it->second;
   for (const AsId host : state.replicas) {
-    if (store_.Erase(host, guid)) --total_entries_;
+    store_.Erase(host, guid);
   }
-  if (state.local_as != kInvalidAs) {
-    if (store_.Erase(state.local_as, guid)) --total_entries_;
-  }
+  if (state.local_as != kInvalidAs) store_.Erase(state.local_as, guid);
   owners_.erase(it);
   // A deregistered GUID must not be served from any cache, whatever the
   // coherence mode.

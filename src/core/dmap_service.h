@@ -211,11 +211,15 @@ class DMapService {
   }
 
   // Publishes every read snapshot the serving path probes: the resolver's
-  // DIR-24-8 table (above) and the mapping store's per-shard entry
-  // snapshots. Call from the serial section between the last write and a
+  // DIR-24-8 table (above), the mapping store's per-shard entry snapshots
+  // and, with the cache on, the cache's fills and snapshots. The store and
+  // the cache patch just the keys written since their last publish, so a
+  // call after a hand-off costs O(changed replicas), not O(stored
+  // entries). Call from the serial section between the last write and a
   // parallel lookup phase. Purely an optimisation — a stale snapshot
-  // always falls back to the authoritative structure — but the lock-free
-  // serving numbers come from reading fresh snapshots.
+  // always falls back to the authoritative structure (or, in the cache,
+  // misses) — but the lock-free serving numbers come from reading fresh
+  // snapshots.
   void RefreshReadSnapshots() REQUIRES_ALL_SHARDS() {
     resolver_.RefreshSnapshot();
     store_.RefreshSnapshots();
@@ -347,7 +351,7 @@ class DMapService {
   // Introspection for tests/benches.
   const ShardedMappingStore& store() const { return store_; }
   std::vector<std::size_t> StoreSizes() const { return store_.SizesByAs(); }
-  std::uint64_t total_stored_entries() const { return total_entries_; }
+  std::uint64_t total_stored_entries() const { return store_.size(); }
 
  private:
   struct OwnerState {
@@ -398,7 +402,6 @@ class DMapService {
   std::unordered_map<Guid, OwnerState, GuidHash> owners_
       WRITE_SERIAL_READ_SHARED();
   FailureView failures_ WRITE_SERIAL_READ_SHARED();
-  std::uint64_t total_entries_ = 0;
   // Resolver-side cache (null = disabled). Parallel phases only Probe the
   // published snapshots and buffer fills per worker; mutation happens at
   // the serial write points (ApplyFills/Invalidate/RefreshSnapshots).

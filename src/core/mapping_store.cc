@@ -61,63 +61,51 @@ bool ShardedMappingStore::Upsert(AsId as, const Guid& guid,
                                  const MappingEntry& entry,
                                  Ipv4Address stored_address) {
   Shard& shard = shards_[ShardOf(guid)];
-  const auto [it, inserted] = shard.map.try_emplace(
-      Key{guid, as}, Stored{entry, stored_address});
+  const ReplicaKey key{guid, as};
+  const auto [it, inserted] =
+      shard.map.try_emplace(key, Stored{entry, stored_address});
   if (!inserted) {
     if (entry.stamp() < it->second.entry.stamp()) return false;
     it->second = Stored{entry, stored_address};
   }
   ++shard.epoch;
+  shard.snapshot.Log(key);
   return true;
 }
 
 bool ShardedMappingStore::Erase(AsId as, const Guid& guid) {
   Shard& shard = shards_[ShardOf(guid)];
-  if (shard.map.erase(Key{guid, as}) == 0) return false;
+  const ReplicaKey key{guid, as};
+  if (shard.map.erase(key) == 0) return false;
   ++shard.epoch;
+  shard.snapshot.Log(key);
   return true;
 }
 
 void ShardedMappingStore::RefreshSnapshots() {
   for (Shard& shard : shards_) {
     if (shard.snapshot_epoch == shard.epoch) continue;
-    RebuildSnapshot(shard);
+    const bool refilled = shard.snapshot.Publish(
+        shard.map.size(),
+        [&shard](const ReplicaKey& key) -> const MappingEntry* {
+          const auto it = shard.map.find(key);
+          return it == shard.map.end() ? nullptr : &it->second.entry;
+        },
+        [&shard](ReplicaTable<MappingEntry>& table) {
+          for (const auto& [key, stored] : shard.map) {
+            table.Upsert(key.as, key.guid, stored.entry);
+          }
+        });
+    if (refilled) ++full_rebuilds_;
     shard.snapshot_epoch = shard.epoch;
     ++snapshot_rebuilds_;
-  }
-}
-
-void ShardedMappingStore::RebuildSnapshot(Shard& shard) {
-  // Power-of-two capacity at <= 50% load keeps linear-probe chains short;
-  // reuse the slot storage when the capacity is unchanged.
-  std::size_t capacity = 16;
-  while (capacity < shard.map.size() * 2) capacity <<= 1;
-  if (shard.slots.size() == capacity) {
-    std::fill(shard.slots.begin(), shard.slots.end(), Slot{});
-  } else {
-    shard.slots.assign(capacity, Slot{});
-  }
-  shard.slot_mask = capacity - 1;
-  // Insertion order only affects which of two tag-colliding entries sits
-  // first in a probe chain, never a probe's answer.
-  for (const auto& [key, stored] : shard.map) {
-    const std::uint64_t tag = MixTag(key.guid.Fingerprint64(), key.as);
-    std::size_t idx = std::size_t(tag) & shard.slot_mask;
-    while (shard.slots[idx].as != kInvalidAs) {
-      idx = (idx + 1) & shard.slot_mask;
-    }
-    Slot& slot = shard.slots[idx];
-    slot.tag = tag;
-    slot.as = key.as;
-    slot.guid = key.guid;
-    slot.entry = stored.entry;
   }
 }
 
 const MappingEntry* ShardedMappingStore::Lookup(AsId as,
                                                 const Guid& guid) const {
   const Shard& shard = shards_[ShardOf(guid)];
-  const auto it = shard.map.find(Key{guid, as});
+  const auto it = shard.map.find(ReplicaKey{guid, as});
   return it == shard.map.end() ? nullptr : &it->second.entry;
 }
 
@@ -128,20 +116,10 @@ const MappingEntry* ShardedMappingStore::Read(
     // Stale snapshot (mutations since the last serial refresh): the
     // mutable map is the authority. Reaching this from a parallel phase is
     // legal — the map is not being written by contract.
-    const auto it = shard.map.find(Key{guid, as});
+    const auto it = shard.map.find(ReplicaKey{guid, as});
     return it == shard.map.end() ? nullptr : &it->second.entry;
   }
-  if (shard.slots.empty()) return nullptr;
-  const std::uint64_t tag = MixTag(fingerprint, as);
-  std::size_t idx = std::size_t(tag) & shard.slot_mask;
-  while (shard.slots[idx].as != kInvalidAs) {
-    const Slot& slot = shard.slots[idx];
-    if (slot.tag == tag && slot.as == as && slot.guid == guid) {
-      return &slot.entry;
-    }
-    idx = (idx + 1) & shard.slot_mask;
-  }
-  return nullptr;
+  return shard.snapshot.Find(as, guid, fingerprint);
 }
 
 bool ShardedMappingStore::snapshots_fresh() const {

@@ -9,10 +9,13 @@
 // partitioned across N independent shards by a deterministic hash of the
 // GUID alone (so all K+1 replicas of a GUID live in one shard), and each
 // shard publishes an immutable, epoch-versioned open-addressing snapshot
-// that the read path probes with zero locking. Snapshots are rebuilt only
-// at serial write points (RefreshSnapshots); a reader that finds a shard's
-// snapshot stale silently falls back to the shard's mutable map, so reads
-// are always correct — fresh snapshots only make them faster.
+// (DeltaSnapshot) that the read path probes with zero locking. Snapshots
+// are republished only at serial write points (RefreshSnapshots), at a
+// cost proportional to the keys that changed: each shard logs the keys it
+// mutates after its first publish and the next refresh patches just those
+// slots. A reader that finds a shard's snapshot stale silently falls back
+// to the shard's mutable map, so reads are always correct — fresh
+// snapshots only make them faster.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +28,7 @@
 #include "common/ipv4.h"
 #include "common/thread_annotations.h"
 #include "core/mapping.h"
+#include "core/replica_table.h"
 
 namespace dmap {
 
@@ -122,10 +126,14 @@ class ShardedMappingStore {
   // Removes the replica of `guid` at `as`; true if present.
   bool Erase(AsId as, const Guid& guid) REQUIRES_SERIAL();
 
-  // Rebuilds the read snapshot of every shard whose mutable map changed
+  // Republishes the read snapshot of every shard whose mutable map changed
   // since the last refresh (per-shard epoch comparison; untouched shards
-  // are skipped and their snapshot storage is reused). Must only be called
-  // from serial sections — the write point of the snapshot discipline.
+  // are skipped). A changed shard patches the slots of its logged keys, in
+  // time proportional to the changes; it refills its whole table only on
+  // its first publish, when its entries outgrow the table's 50% load
+  // bound, or when its log outgrew a quarter of the slots. Must only be
+  // called from serial sections — the write point of the snapshot
+  // discipline.
   void RefreshSnapshots() REQUIRES_ALL_SHARDS() REQUIRES_SERIAL();
 
   // ---- Read API (safe to call concurrently from many workers while no
@@ -149,9 +157,12 @@ class ShardedMappingStore {
   // True when every shard's snapshot reflects its current epoch.
   bool snapshots_fresh() const;
 
-  // Lifetime count of per-shard snapshot rebuilds — the regression handle
-  // for "refresh must not rebuild untouched shards".
+  // Lifetime count of per-shard snapshot publishes, patched or refilled —
+  // the regression handle for "refresh must not touch untouched shards".
   std::uint64_t snapshot_rebuilds() const { return snapshot_rebuilds_; }
+  // Lifetime count of the publishes among them that refilled a whole
+  // shard table — the handle for "a small update patches, never refills".
+  std::uint64_t full_rebuilds() const { return full_rebuilds_; }
 
   // ---- Introspection (serial sections only; results are independent of
   // the shard count). ----------------------------------------------------
@@ -171,63 +182,31 @@ class ShardedMappingStore {
   std::vector<Guid> GuidsStoredIn(AsId as, const Cidr& prefix) const;
 
  private:
-  struct Key {
-    Guid guid;
-    AsId as = kInvalidAs;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      return std::size_t(
-          MixTag(key.guid.Fingerprint64(), key.as));
-    }
-  };
   struct Stored {
     MappingEntry entry;
     Ipv4Address stored_address;
   };
-  // One open-addressing snapshot slot. `as == kInvalidAs` marks an empty
-  // slot; occupied slots compare the mixed tag first, then the exact key.
-  struct Slot {
-    std::uint64_t tag = 0;
-    AsId as = kInvalidAs;
-    Guid guid;
-    MappingEntry entry;
-  };
   struct Shard {
     // Mutable, authoritative state — written only from serial sections.
-    std::unordered_map<Key, Stored, KeyHash> map WRITE_SERIAL_READ_SHARED();
+    std::unordered_map<ReplicaKey, Stored, ReplicaKeyHash> map
+        WRITE_SERIAL_READ_SHARED();
     // Bumped on every applied mutation; equality with snapshot_epoch means
     // the snapshot below answers exactly like `map`.
     std::uint64_t epoch = 0;
     std::uint64_t snapshot_epoch = 0;  // starts fresh: both empty
-    // Immutable published snapshot: power-of-two linear-probing table,
-    // rebuilt only by RefreshSnapshots.
-    std::vector<Slot> slots WRITE_SERIAL_READ_SHARED();
-    std::size_t slot_mask = 0;
+    // Immutable published snapshot, written only by RefreshSnapshots;
+    // every applied write logs its key.
+    DeltaSnapshot<MappingEntry> snapshot WRITE_SERIAL_READ_SHARED();
   };
-
-  // SplitMix64-style finalizer mixing the (fingerprint, as) pair into the
-  // snapshot probe tag and the map bucket hash.
-  static std::uint64_t MixTag(std::uint64_t fingerprint, AsId as) {
-    std::uint64_t x = fingerprint ^ (std::uint64_t(as) * 0x9e3779b97f4a7c15ULL);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-  }
 
   unsigned ShardOfFingerprint(std::uint64_t fingerprint) const {
     return unsigned(fingerprint % shards_.size());
   }
 
-  void RebuildSnapshot(Shard& shard);
-
   std::uint32_t num_ases_;
   std::vector<Shard> shards_;
   std::uint64_t snapshot_rebuilds_ = 0;
+  std::uint64_t full_rebuilds_ = 0;
 };
 
 }  // namespace dmap

@@ -64,87 +64,140 @@ SimTime ResolverCache::ExpiryFor(SimTime now) const {
 
 const MappingEntry* ResolverCache::Get(AsId as, const Guid& guid,
                                        SimTime now) {
-  Shard& shard = shards_[ShardOfFingerprint(guid.Fingerprint64())];
-  const auto it = shard.index.find(Key{guid, as});
-  if (it == shard.index.end()) {
+  const std::uint64_t fingerprint = guid.Fingerprint64();
+  Shard& shard = shards_[ShardOfFingerprint(fingerprint)];
+  const std::uint32_t* found = shard.index.Find(as, guid, fingerprint);
+  if (found == nullptr) {
     ++serial_.misses;
     return nullptr;
   }
-  if (it->second->expires < now) {
-    RemoveHolder(shard, it->second->key);
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    ++shard.epoch;
+  const std::uint32_t id = *found;
+  if (shard.nodes[id].value.expires < now) {
+    Drop(shard, id);
     ++serial_.evictions;
     ++serial_.misses;
     return nullptr;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // refresh
+  Unlink(shard, id);  // refresh
+  LinkNewest(shard, id);
   ++serial_.hits;
-  return &shard.lru.front().entry;
+  return &shard.nodes[id].value.entry;
 }
 
-void ResolverCache::RemoveHolder(Shard& shard, const Key& key) {
-  const auto holder_it = shard.holders.find(key.guid);
-  if (holder_it == shard.holders.end()) return;
-  std::vector<AsId>& holders = holder_it->second;
-  const auto as_it = std::find(holders.begin(), holders.end(), key.as);
-  if (as_it != holders.end()) {
-    *as_it = holders.back();
-    holders.pop_back();
+void ResolverCache::LinkNewest(Shard& shard, std::uint32_t id) {
+  Node& node = shard.nodes[id];
+  node.newer = kNoNode;
+  node.older = shard.newest;
+  if (shard.newest != kNoNode) shard.nodes[shard.newest].newer = id;
+  shard.newest = id;
+  if (shard.oldest == kNoNode) shard.oldest = id;
+}
+
+void ResolverCache::Unlink(Shard& shard, std::uint32_t id) {
+  const Node& node = shard.nodes[id];
+  if (node.newer == kNoNode) {
+    shard.newest = node.older;
+  } else {
+    shard.nodes[node.newer].older = node.older;
   }
-  if (holders.empty()) shard.holders.erase(holder_it);
+  if (node.older == kNoNode) {
+    shard.oldest = node.newer;
+  } else {
+    shard.nodes[node.older].newer = node.newer;
+  }
+}
+
+void ResolverCache::Drop(Shard& shard, std::uint32_t id) {
+  Node& node = shard.nodes[id];
+  const ReplicaKey key = node.key;
+  Unlink(shard, id);
+  shard.index.Erase(key.as, key.guid);
+  // Unchain the copy: the chain's first node is named by `copies`, the
+  // others by their predecessor. Chains hold one node per querier AS
+  // caching the GUID, so the walk is short.
+  const std::uint32_t first =
+      *shard.copies.Find(kAnyAs, key.guid, key.guid.Fingerprint64());
+  if (first != id) {
+    std::uint32_t prev = first;
+    while (shard.nodes[prev].next_copy != id) {
+      prev = shard.nodes[prev].next_copy;
+    }
+    shard.nodes[prev].next_copy = node.next_copy;
+  } else if (node.next_copy == kNoNode) {
+    shard.copies.Erase(kAnyAs, key.guid);
+  } else {
+    shard.copies.Upsert(kAnyAs, key.guid, node.next_copy);
+  }
+  node = Node{};
+  shard.free_nodes.push_back(id);
+  --shard.live;
+  ++shard.epoch;
+  shard.snapshot.Log(key);
 }
 
 void ResolverCache::EvictTail(Shard& shard) {
-  RemoveHolder(shard, shard.lru.back().key);
-  shard.index.erase(shard.lru.back().key);
-  shard.lru.pop_back();
+  Drop(shard, shard.oldest);
   ++serial_.evictions;
 }
 
-void ResolverCache::PutInShard(Shard& shard, const Key& key,
-                               const MappingEntry& entry, SimTime expires) {
-  const auto [it, inserted] = shard.index.try_emplace(key);
-  if (!inserted) {
-    it->second->entry = entry;
-    it->second->expires = expires;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    ++shard.epoch;
-    return;
+void ResolverCache::PutInShard(Shard& shard, const ReplicaKey& key,
+                               const Value& value) {
+  const std::uint64_t fingerprint = key.guid.Fingerprint64();
+  if (const std::uint32_t* found =
+          shard.index.Find(key.as, key.guid, fingerprint)) {
+    const std::uint32_t id = *found;
+    shard.nodes[id].value = value;
+    Unlink(shard, id);
+    LinkNewest(shard, id);
+  } else {
+    const std::uint32_t id = shard.free_nodes.empty()
+                                 ? std::uint32_t(shard.nodes.size())
+                                 : shard.free_nodes.back();
+    if (id == shard.nodes.size()) {
+      shard.nodes.emplace_back();
+    } else {
+      shard.free_nodes.pop_back();
+    }
+    Node& node = shard.nodes[id];
+    node.key = key;
+    node.value = value;
+    LinkNewest(shard, id);
+    ++shard.live;
+    shard.index.Reserve(shard.live);
+    shard.index.Upsert(key.as, key.guid, id);
+    // Push the copy onto the front of its GUID's chain.
+    const std::uint32_t* first =
+        shard.copies.Find(kAnyAs, key.guid, fingerprint);
+    node.next_copy = first == nullptr ? kNoNode : *first;
+    shard.copies.Reserve(shard.copies.size() + 1);
+    shard.copies.Upsert(kAnyAs, key.guid, id);
   }
-  shard.lru.push_front(Cached{key, entry, expires});
-  it->second = shard.lru.begin();
-  shard.holders[key.guid].push_back(key.as);
-  if (shard.lru.size() > per_shard_capacity_) EvictTail(shard);
   ++shard.epoch;
+  shard.snapshot.Log(key);
+  if (shard.live > per_shard_capacity_) EvictTail(shard);
 }
 
 void ResolverCache::Put(AsId as, const Guid& guid, const MappingEntry& entry,
                         SimTime now) {
   Shard& shard = shards_[ShardOfFingerprint(guid.Fingerprint64())];
-  PutInShard(shard, Key{guid, as}, entry, ExpiryFor(now));
+  PutInShard(shard, ReplicaKey{guid, as}, Value{entry, ExpiryFor(now)});
 }
 
 std::size_t ResolverCache::Invalidate(const Guid& guid) {
   // All cached copies of `guid` — one per querier AS — live in the shard
-  // selected by the GUID fingerprint; the inverted index names the holder
-  // ASes, and each copy is erased through its stored list iterator, so the
-  // whole invalidation is O(copies), independent of the shard population.
-  Shard& shard = shards_[ShardOfFingerprint(guid.Fingerprint64())];
-  const auto holder_it = shard.holders.find(guid);
-  if (holder_it == shard.holders.end()) return 0;
-  const std::vector<AsId> holders = std::move(holder_it->second);
-  shard.holders.erase(holder_it);
-  for (const AsId as : holders) {
-    const auto it = shard.index.find(Key{guid, as});
-    if (it == shard.index.end()) continue;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+  // selected by the GUID fingerprint, on one chain; dropping the chain's
+  // first node until none is left makes the whole invalidation O(copies),
+  // independent of the shard population.
+  const std::uint64_t fingerprint = guid.Fingerprint64();
+  Shard& shard = shards_[ShardOfFingerprint(fingerprint)];
+  std::size_t dropped = 0;
+  while (const std::uint32_t* first =
+             shard.copies.Find(kAnyAs, guid, fingerprint)) {
+    Drop(shard, *first);
+    ++dropped;
   }
-  shard.epoch += holders.size();
-  serial_.invalidations += holders.size();
-  return holders.size();
+  serial_.invalidations += dropped;
+  return dropped;
 }
 
 void ResolverCache::EnsureWorkers(unsigned workers) {
@@ -162,18 +215,11 @@ const MappingEntry* ResolverCache::Probe(AsId as, const Guid& guid,
     // mutable LRU may be mid-mutation on another discipline's path.
     return nullptr;
   }
-  if (shard.slots.empty()) return nullptr;
-  const std::uint64_t tag = MixTag(fingerprint, as);
-  std::size_t idx = std::size_t(tag) & shard.slot_mask;
-  while (true) {
-    const Slot& slot = shard.slots[idx];
-    if (slot.as == kInvalidAs) return nullptr;
-    if (slot.tag == tag && slot.as == as && slot.guid == guid) {
-      if (slot.expires < now) return nullptr;  // expired: miss, no evict
-      return &slot.entry;
-    }
-    idx = (idx + 1) & shard.slot_mask;
+  const Value* value = shard.snapshot.Find(as, guid, fingerprint);
+  if (value == nullptr || value->expires < now) {
+    return nullptr;  // absent, or expired: miss, no evict
   }
+  return &value->entry;
 }
 
 void ResolverCache::TallyProbe(unsigned worker, bool hit) {
@@ -187,11 +233,12 @@ void ResolverCache::TallyStaleServed(unsigned worker) {
 
 void ResolverCache::RecordFill(unsigned worker, AsId as, const Guid& guid,
                                const MappingEntry& entry, SimTime now) {
-  lanes_[worker].fills.push_back(Fill{Key{guid, as}, entry, ExpiryFor(now)});
+  lanes_[worker].fills.push_back(
+      Cached{ReplicaKey{guid, as}, Value{entry, ExpiryFor(now)}});
 }
 
 void ResolverCache::ApplyFills() {
-  std::vector<Fill> all;
+  std::vector<Cached> all;
   for (WorkerLane& lane : lanes_) {
     all.insert(all.end(), lane.fills.begin(), lane.fills.end());
     lane.fills.clear();
@@ -201,64 +248,54 @@ void ResolverCache::ApplyFills() {
   // the winner is the newest logical stamp, longest expiry as tie-break.
   // The sort key is a pure function of the fill itself, so the merged
   // cache state is independent of which worker buffered which fill.
-  std::sort(all.begin(), all.end(), [](const Fill& a, const Fill& b) {
+  std::sort(all.begin(), all.end(), [](const Cached& a, const Cached& b) {
     for (int w = 0; w < Guid::kWords; ++w) {
       if (a.key.guid.word(w) != b.key.guid.word(w)) {
         return a.key.guid.word(w) < b.key.guid.word(w);
       }
     }
     if (a.key.as != b.key.as) return a.key.as < b.key.as;
-    if (a.entry.stamp() != b.entry.stamp()) {
-      return a.entry.stamp() < b.entry.stamp();
+    if (a.value.entry.stamp() != b.value.entry.stamp()) {
+      return a.value.entry.stamp() < b.value.entry.stamp();
     }
-    return a.expires < b.expires;
+    return a.value.expires < b.value.expires;
   });
   // Groups are contiguous; the last element of each group is its winner.
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (i + 1 < all.size() && all[i + 1].key == all[i].key) continue;
     Shard& shard =
         shards_[ShardOfFingerprint(all[i].key.guid.Fingerprint64())];
-    PutInShard(shard, all[i].key, all[i].entry, all[i].expires);
+    PutInShard(shard, all[i].key, all[i].value);
   }
 }
 
 void ResolverCache::RefreshSnapshots() {
   for (Shard& shard : shards_) {
     if (shard.snapshot_epoch == shard.epoch) continue;
-    RebuildSnapshot(shard);
+    // A logged key's current entry and deadline come from its node; a key
+    // evicted or invalidated since has none.
+    const bool refilled = shard.snapshot.Publish(
+        shard.live,
+        [&shard](const ReplicaKey& key) -> const Value* {
+          const std::uint32_t* id =
+              shard.index.Find(key.as, key.guid, key.guid.Fingerprint64());
+          return id == nullptr ? nullptr : &shard.nodes[*id].value;
+        },
+        [&shard](ReplicaTable<Value>& table) {
+          for (const Node& node : shard.nodes) {
+            if (node.key.as == kInvalidAs) continue;
+            table.Upsert(node.key.as, node.key.guid, node.value);
+          }
+        });
+    if (refilled) ++full_rebuilds_;
     shard.snapshot_epoch = shard.epoch;
     ++snapshot_rebuilds_;
   }
 }
 
-void ResolverCache::RebuildSnapshot(Shard& shard) {
-  std::size_t capacity = 16;
-  while (capacity < shard.lru.size() * 2) capacity <<= 1;
-  if (shard.slots.size() == capacity) {
-    std::fill(shard.slots.begin(), shard.slots.end(), Slot{});
-  } else {
-    shard.slots.assign(capacity, Slot{});
-  }
-  shard.slot_mask = capacity - 1;
-  for (const Cached& cached : shard.lru) {
-    const std::uint64_t tag =
-        MixTag(cached.key.guid.Fingerprint64(), cached.key.as);
-    std::size_t idx = std::size_t(tag) & shard.slot_mask;
-    while (shard.slots[idx].as != kInvalidAs) {
-      idx = (idx + 1) & shard.slot_mask;
-    }
-    Slot& slot = shard.slots[idx];
-    slot.tag = tag;
-    slot.as = cached.key.as;
-    slot.guid = cached.key.guid;
-    slot.entry = cached.entry;
-    slot.expires = cached.expires;
-  }
-}
-
 std::size_t ResolverCache::size() const {
   std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.lru.size();
+  for (const Shard& shard : shards_) total += shard.live;
   return total;
 }
 

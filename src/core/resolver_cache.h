@@ -13,10 +13,14 @@
 //  * Entries are partitioned across shards by the GUID fingerprint alone,
 //    so every AS's cached copy of one GUID lives in one shard and
 //    Invalidate touches exactly one shard.
-//  * Each shard owns a mutable LRU (list + index map), written only from
-//    serial sections (Get/Put for single-owner executors, ApplyFills for
-//    the parallel closed-form sweeps), plus an immutable epoch-versioned
-//    open-addressing snapshot published by RefreshSnapshots().
+//  * Each shard owns a mutable LRU (a node pool with an open-addressing
+//    index), written only from serial sections (Get/Put for single-owner
+//    executors, ApplyFills for the parallel closed-form sweeps), plus an
+//    immutable epoch-versioned open-addressing snapshot (DeltaSnapshot)
+//    published by RefreshSnapshots(). After a shard's first publish it
+//    logs every key it adds, refreshes, evicts or invalidates, and the
+//    next publish patches just those slots, so a republish costs
+//    O(changes), not O(shard).
 //  * The parallel read path (Probe) only ever touches the snapshot —
 //    lock-free, allocation-free, DMAP_HOT_PATH. A stale snapshot reports a
 //    miss rather than falling back to the mutable map: for a cache a miss
@@ -30,14 +34,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/guid.h"
 #include "common/thread_annotations.h"
 #include "core/mapping.h"
+#include "core/replica_table.h"
 #include "event/sim_time.h"
 
 namespace dmap {
@@ -90,19 +93,19 @@ class ResolverCache {
   // on a shared instance instead). --------------------------------------
 
   // Returns the cached entry for (as, guid) if present and fresh at `now`,
-  // else nullptr. One hash: a single index find, then an O(1) splice to
-  // the LRU front. Expired entries are evicted on access.
+  // else nullptr. One index probe, then an O(1) move to the LRU front.
+  // Expired entries are evicted on access. The pointer is valid until the
+  // next write to the cache.
   const MappingEntry* Get(AsId as, const Guid& guid, SimTime now);
 
-  // Inserts or refreshes (as, guid). One hash via try_emplace on both the
-  // fresh-insert and refresh paths. Evicts the LRU tail on overflow.
+  // Inserts or refreshes (as, guid). Evicts the LRU tail on overflow.
   void Put(AsId as, const Guid& guid, const MappingEntry& entry, SimTime now);
 
   // ---- Serial write points (global: unreachable from parallel code). ---
 
   // Drops every AS's cached copy of `guid` — the invalidate-on-update
   // coherence rule. O(copies): the shard keyed by the GUID fingerprint
-  // holds all copies, found via the stored per-entry list iterators.
+  // holds all copies, on one chain of pool nodes.
   // Returns the number of copies dropped.
   std::size_t Invalidate(const Guid& guid) REQUIRES_SERIAL();
 
@@ -112,8 +115,11 @@ class ResolverCache {
   // which worker recorded which fill. Does NOT refresh snapshots.
   void ApplyFills() REQUIRES_SERIAL();
 
-  // Republishes the per-shard read snapshots (only shards whose mutable
-  // state changed are rebuilt).
+  // Republishes the per-shard read snapshots. Only shards whose mutable
+  // state changed are touched, and those patch just their logged keys; a
+  // shard refills its whole table only on its first publish, when its
+  // entries outgrow the table's 50% load bound, or when its log outgrew a
+  // quarter of the slots.
   void RefreshSnapshots() REQUIRES_SERIAL();
 
   // ---- Parallel phase (shared instance, closed-form sweeps). -----------
@@ -151,7 +157,9 @@ class ResolverCache {
 
   std::size_t size() const;
   bool snapshots_fresh() const;
+  // Per-shard publishes, patched or refilled; and the refills among them.
   std::uint64_t snapshot_rebuilds() const { return snapshot_rebuilds_; }
+  std::uint64_t full_rebuilds() const { return full_rebuilds_; }
 
   // Lifetime totals: serial-path counters plus every worker slab.
   std::uint64_t hits() const;
@@ -161,53 +169,52 @@ class ResolverCache {
   std::uint64_t stale_served() const;
 
  private:
-  struct Key {
-    Guid guid;
-    AsId as = kInvalidAs;
-    bool operator==(const Key&) const = default;
+  // What a probe hands back: the entry and its freshness deadline.
+  struct Value {
+    MappingEntry entry;
+    SimTime expires;
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      return std::size_t(MixTag(key.guid.Fingerprint64(), key.as));
-    }
-  };
+  // A fill buffered until the next ApplyFills.
   struct Cached {
-    Key key;
-    MappingEntry entry;
-    SimTime expires;
+    ReplicaKey key;
+    Value value;
   };
-  // One open-addressing snapshot slot; `as == kInvalidAs` marks empty.
-  struct Slot {
-    std::uint64_t tag = 0;
-    AsId as = kInvalidAs;
-    Guid guid;
-    MappingEntry entry;
-    SimTime expires;
+  static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
+  // One cached copy, in its shard's node pool: threaded on the shard's LRU
+  // list and on the chain of copies of its GUID. `key.as == kInvalidAs`
+  // marks a free node.
+  struct Node {
+    ReplicaKey key;
+    Value value;
+    std::uint32_t newer = kNoNode;
+    std::uint32_t older = kNoNode;
+    std::uint32_t next_copy = kNoNode;
   };
+  // `copies` is keyed by the GUID alone; every key in it carries this AS.
+  static constexpr AsId kAnyAs = 0;
   struct Shard {
-    // Mutable authoritative LRU — front = most recent; written only from
-    // serial sections / the single-owner executor loop.
-    std::list<Cached> lru WRITE_SERIAL_READ_SHARED();
-    std::unordered_map<Key, std::list<Cached>::iterator, KeyHash> index
-        WRITE_SERIAL_READ_SHARED();
-    // Inverted index: which ASes hold a cached copy of each GUID, so
-    // Invalidate is O(copies) — each copy erased through its stored list
-    // iterator — instead of an O(shard) LRU walk.
-    std::unordered_map<Guid, std::vector<AsId>, GuidHash> holders
-        WRITE_SERIAL_READ_SHARED();
+    // Mutable authoritative LRU, written only from serial sections / the
+    // single-owner executor loop: a node pool, reused through `free_nodes`,
+    // linked from `newest` to `oldest`.
+    std::vector<Node> nodes WRITE_SERIAL_READ_SHARED();
+    std::vector<std::uint32_t> free_nodes WRITE_SERIAL_READ_SHARED();
+    std::uint32_t newest = kNoNode;
+    std::uint32_t oldest = kNoNode;
+    std::size_t live = 0;
+    // (as, guid) -> node.
+    ReplicaTable<std::uint32_t> index WRITE_SERIAL_READ_SHARED();
+    // guid -> first node of its chain of copies, so Invalidate is
+    // O(copies) instead of an O(shard) LRU walk.
+    ReplicaTable<std::uint32_t> copies WRITE_SERIAL_READ_SHARED();
     std::uint64_t epoch = 0;
     std::uint64_t snapshot_epoch = 0;  // starts fresh: both empty
-    std::vector<Slot> slots WRITE_SERIAL_READ_SHARED();
-    std::size_t slot_mask = 0;
-  };
-  struct Fill {
-    Key key;
-    MappingEntry entry;
-    SimTime expires;
+    // Immutable published snapshot, written only by RefreshSnapshots;
+    // every key added, refreshed or dropped is logged.
+    DeltaSnapshot<Value> snapshot WRITE_SERIAL_READ_SHARED();
   };
   // Padded so adjacent workers never share a cache line.
   struct alignas(64) WorkerLane {
-    std::vector<Fill> fills;  // SHARD_CONFINED(worker)
+    std::vector<Cached> fills;  // SHARD_CONFINED(worker)
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t stale_served = 0;
@@ -220,30 +227,20 @@ class ResolverCache {
     std::uint64_t stale_served = 0;
   };
 
-  // SplitMix64-style finalizer mixing (fingerprint, as) into the snapshot
-  // probe tag and the index bucket hash — same kernel as the sharded
-  // store's.
-  static std::uint64_t MixTag(std::uint64_t fingerprint, AsId as) {
-    std::uint64_t x =
-        fingerprint ^ (std::uint64_t(as) * 0x9e3779b97f4a7c15ULL);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-  }
-
   unsigned ShardOfFingerprint(std::uint64_t fingerprint) const {
     return unsigned(fingerprint % shards_.size());
   }
 
   SimTime ExpiryFor(SimTime now) const;
-  void PutInShard(Shard& shard, const Key& key, const MappingEntry& entry,
-                  SimTime expires);
+  // Every change to a shard's entries goes through PutInShard or Drop,
+  // which bump the shard's epoch and log the key for the next publish.
+  void PutInShard(Shard& shard, const ReplicaKey& key, const Value& value);
   void EvictTail(Shard& shard);
-  static void RemoveHolder(Shard& shard, const Key& key);
-  void RebuildSnapshot(Shard& shard);
+  // Removes node `id` from the LRU, the index and its GUID's chain, and
+  // frees it.
+  static void Drop(Shard& shard, std::uint32_t id);
+  static void LinkNewest(Shard& shard, std::uint32_t id);
+  static void Unlink(Shard& shard, std::uint32_t id);
 
   CacheConfig config_;
   std::size_t per_shard_capacity_;
@@ -251,6 +248,7 @@ class ResolverCache {
   std::vector<WorkerLane> lanes_;
   SerialCounters serial_;
   std::uint64_t snapshot_rebuilds_ = 0;
+  std::uint64_t full_rebuilds_ = 0;
 };
 
 }  // namespace dmap

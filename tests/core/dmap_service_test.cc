@@ -7,6 +7,8 @@
 #include <tuple>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics_registry.h"
 #include "obs/probe_trace.h"
@@ -635,6 +637,55 @@ TEST_F(DMapServiceTest, RefreshReadSnapshotsFreshensStoreAndResolver) {
                                     .serving_as,
                                 Guid::FromSequence(1)),
             nullptr);
+}
+
+// A hand-off after a published load republishes by patching: the store
+// shards and cache shards it touches copy just the changed keys, and no
+// shard refills its whole table.
+TEST_F(DMapServiceTest, HandoffRepublishPatchesWithoutFullRebuild) {
+  DMapOptions options = Options(5);
+  options.store_shards = 4;
+  options.cache.capacity = 4096;
+  options.cache.invalidate_on_update = true;
+  DMapService service(env_.graph, env_.table, options);
+  constexpr std::uint64_t kGuids = 1000;
+  for (std::uint64_t i = 0; i < kGuids; ++i) {
+    (void)service.Insert(Guid::FromSequence(i),
+                         NetworkAddress{AsId(i % 250), 1});
+  }
+  service.RefreshReadSnapshots();
+  // Fill the cache (fills merge and publish at the next serial point).
+  for (std::uint64_t i = 0; i < kGuids; ++i) {
+    for (const AsId querier : {AsId(i * 7 % 299), AsId(i * 13 % 299)}) {
+      (void)service.Lookup(Guid::FromSequence(i), querier);
+    }
+  }
+  service.RefreshReadSnapshots();
+  const ResolverCache& cache = *service.cache();
+  ASSERT_GT(cache.size(), 0u);
+  const std::uint64_t store_publishes = service.store().snapshot_rebuilds();
+  const std::uint64_t store_full = service.store().full_rebuilds();
+  const std::uint64_t cache_publishes = cache.snapshot_rebuilds();
+  const std::uint64_t cache_full = cache.full_rebuilds();
+  const std::uint64_t invalidations = cache.invalidations();
+
+  std::vector<std::pair<Guid, NetworkAddress>> moves;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    moves.emplace_back(Guid::FromSequence(i), NetworkAddress{77, 1});
+  }
+  (void)service.BatchUpdate(moves);
+  service.RefreshReadSnapshots();
+
+  EXPECT_GT(service.store().snapshot_rebuilds(), store_publishes);
+  EXPECT_EQ(service.store().full_rebuilds(), store_full);
+  ASSERT_GT(cache.invalidations(), invalidations);
+  EXPECT_GT(cache.snapshot_rebuilds(), cache_publishes);
+  EXPECT_EQ(cache.full_rebuilds(), cache_full);
+  for (const auto& [guid, na] : moves) {
+    const LookupResult r = service.Lookup(guid, 200);
+    ASSERT_TRUE(r.found);
+    EXPECT_TRUE(r.nas.AttachedTo(na.as));
+  }
 }
 
 }  // namespace
