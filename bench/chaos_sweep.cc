@@ -97,24 +97,27 @@ int main(int argc, char** argv) {
   for (const double drop_p : drop_points) {
     for (const int retries : retry_points) {
       std::vector<TrialResult> results(trials);
+      ProtocolNetworkOptions net_options;
+      net_options.k = 3;
+      net_options.probe_retries = retries;
+      // -1 = flag not given: keep the network defaults (majority writes,
+      // single-response reads). --write-quorum=1 reproduces the pre-quorum
+      // legacy behaviour byte-for-byte (CI diffs it against the golden).
+      if (options.write_quorum >= 0) {
+        net_options.write_quorum = options.write_quorum;
+      }
+      if (options.read_quorum >= 1) {
+        net_options.read_quorum = options.read_quorum;
+      }
+      // The shared registry is mutated only here, serially; trials bind.
+      ProtocolNetwork registered(env.graph, env.table, net_options);
+      registered.SetMetrics(obs.registry());
       pool.ParallelFor(0, trials, [&](std::size_t trial, unsigned worker) {
         FaultPlan plan = base_plan;
         plan.drop_probability = drop_p;
 
-        ProtocolNetworkOptions net_options;
-        net_options.k = 3;
-        net_options.probe_retries = retries;
-        // -1 = flag not given: keep the network defaults (majority writes,
-        // single-response reads). --write-quorum=1 reproduces the pre-quorum
-        // legacy behaviour byte-for-byte (CI diffs it against the golden).
-        if (options.write_quorum >= 0) {
-          net_options.write_quorum = options.write_quorum;
-        }
-        if (options.read_quorum >= 1) {
-          net_options.read_quorum = options.read_quorum;
-        }
         ProtocolNetwork net(env.graph, env.table, net_options);
-        net.SetMetrics(obs.registry(), worker);
+        net.BindMetrics(registered, worker);
         net.SetTracer(obs.tracer(), worker);
 
         WorkloadParams workload_params;

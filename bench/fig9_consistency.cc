@@ -157,18 +157,21 @@ int main(int argc, char** argv) {
   for (std::size_t leg_index = 0; leg_index < legs.size(); ++leg_index) {
     const Leg& leg = legs[leg_index];
     std::vector<TrialResult> results(trials);
+    ProtocolNetworkOptions net_options;
+    net_options.k = 3;
+    // No local replica: every read must cross the wire, so replica
+    // staleness is actually observable from the querier.
+    net_options.local_replica = false;
+    net_options.probe_retries = 2;
+    net_options.write_quorum = leg.write_quorum;
+    net_options.read_quorum = leg.read_quorum;
+    net_options.anti_entropy_budget = leg.anti_entropy;
+    // The shared registry is mutated only here, serially; trials bind.
+    ProtocolNetwork registered(env.graph, env.table, net_options);
+    registered.SetMetrics(obs.registry());
     pool.ParallelFor(0, trials, [&](std::size_t trial, unsigned worker) {
-      ProtocolNetworkOptions net_options;
-      net_options.k = 3;
-      // No local replica: every read must cross the wire, so replica
-      // staleness is actually observable from the querier.
-      net_options.local_replica = false;
-      net_options.probe_retries = 2;
-      net_options.write_quorum = leg.write_quorum;
-      net_options.read_quorum = leg.read_quorum;
-      net_options.anti_entropy_budget = leg.anti_entropy;
       ProtocolNetwork net(env.graph, env.table, net_options);
-      net.SetMetrics(obs.registry(), worker);
+      net.BindMetrics(registered, worker);
       net.SetTracer(obs.tracer(), worker);
 
       WorkloadParams workload_params;

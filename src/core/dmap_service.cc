@@ -192,7 +192,8 @@ UpdateResult DMapService::WriteReplicas(const Guid& guid, OwnerState& state,
         if (failures_.IsFailed(host)) {
           // No ack will come; the wire path's per-slot timeout stands in.
           last_resolved = std::max(
-              last_resolved, std::max(options_.failure_timeout_ms, 1.5 * rtt));
+              last_resolved,
+              AdaptiveTimeoutMs(options_.failure_timeout_ms, rtt));
           continue;
         }
         acks.push_back(rtt);

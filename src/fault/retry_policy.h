@@ -11,6 +11,8 @@
 // the next one, having spent TotalTimeoutCostMs in all.
 #pragma once
 
+#include <algorithm>
+
 namespace dmap {
 
 // Timeout armed for retransmission number `retry` (0 = first transmission).
@@ -19,6 +21,16 @@ inline double TimeoutForAttemptMs(double base_timeout_ms, int retry,
   double timeout = base_timeout_ms;
   for (int i = 0; i < retry; ++i) timeout *= backoff;
   return timeout;
+}
+
+// Timeout armed for transmission `retry` of a request whose round trip the
+// client estimates at `rtt_ms`: the backed-off base, floored at 1.5x the RTT
+// so a slow-but-alive replica is never declared dead before its reply can
+// arrive. Replica writes are single-shot (retry 0: the plain base).
+inline double AdaptiveTimeoutMs(double base_timeout_ms, double rtt_ms,
+                                int retry = 0, double backoff = 1.0) {
+  return std::max(TimeoutForAttemptMs(base_timeout_ms, retry, backoff),
+                  1.5 * rtt_ms);
 }
 
 // Total time a client waits on a dead replica before falling through:

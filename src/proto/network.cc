@@ -187,9 +187,24 @@ void ProtocolNetwork::SetMetrics(MetricsRegistry* registry, unsigned shard) {
   }
 }
 
+void ProtocolNetwork::BindMetrics(const ProtocolNetwork& registered,
+                                  unsigned shard) {
+  metrics_ = registered.metrics_;
+  metrics_shard_ = shard;
+  ins_ = registered.ins_;
+  cins_ = registered.cins_;
+}
+
 void ProtocolNetwork::SetTracer(ProbeTracer* tracer, unsigned shard) {
   tracer_ = tracer;
   trace_shard_ = shard;
+}
+
+bool ProtocolNetwork::IsStaleStamp(const Guid& guid,
+                                   const LogicalStamp& stamp) const {
+  if (committed_.empty()) return false;  // legacy runs track no frontier
+  const auto committed = committed_.find(guid);
+  return committed != committed_.end() && stamp < committed->second;
 }
 
 void ProtocolNetwork::Bump(std::uint64_t& plain, CounterId id,
@@ -375,18 +390,12 @@ void ProtocolNetwork::CompleteLookup(const std::shared_ptr<LookupOp>& op,
     probe_admits_.erase(id);
   }
   // Stale-read accounting against the committed frontier: a found answer
-  // whose stamp is behind the last quorum-committed write of this GUID is
-  // the consistency violation Fig. 9 measures. committed_ is only
-  // populated when the quorum machinery is active, so legacy runs skip
-  // this entirely.
-  if (result.found && found_entry != nullptr && !committed_.empty()) {
-    const auto committed = committed_.find(op->guid);
-    if (committed != committed_.end() &&
-        found_entry->stamp() < committed->second) {
-      ++stale_reads_;
-      if (cins_.registered) {
-        metrics_->Add(cins_.stale_reads, 1, metrics_shard_);
-      }
+  // behind it is the consistency violation Fig. 9 measures.
+  if (result.found && found_entry != nullptr &&
+      IsStaleStamp(op->guid, found_entry->stamp())) {
+    ++stale_reads_;
+    if (cins_.registered) {
+      metrics_->Add(cins_.stale_reads, 1, metrics_shard_);
     }
   }
   result.latency_ms = (sim_.Now() - op->started).millis();
@@ -515,15 +524,13 @@ void ProtocolNetwork::StartInsertSlots(const std::shared_ptr<InsertOp>& op,
     InsertOp::Slot s;
     s.host = request.header.dst;
     op->slots.push_back(s);
-    // The ack normally lands after one round trip; the timeout stands in
-    // when it never comes (replica down, request or ack lost) so the
-    // operation always completes. Adaptive like the lookup timeout: a
-    // slow-but-alive replica is never declared dead before its ack can
-    // arrive.
+    // The ack normally lands after one round trip; the adaptive timeout
+    // stands in when it never comes (replica down, request or ack lost) so
+    // the operation always completes.
     const double rtt =
         2.0 * oracle_.OneWayMs(request.header.src, request.header.dst);
     const double timeout_ms =
-        std::max(options_.failure_timeout_ms, 1.5 * rtt);
+        AdaptiveTimeoutMs(options_.failure_timeout_ms, rtt);
     op->slots[slot].timeout =
         sim_.Schedule(SimTime::Millis(timeout_ms), [this, op, slot] {
           if (op->slots[slot].resolved) return;
@@ -718,7 +725,7 @@ void ProtocolNetwork::BatchUpdateAsync(
     op->slots.push_back(std::move(s));
     const double rtt = 2.0 * oracle_.OneWayMs(src_as, dst);
     const double timeout_ms =
-        std::max(options_.failure_timeout_ms, 1.5 * rtt);
+        AdaptiveTimeoutMs(options_.failure_timeout_ms, rtt);
     op->slots[slot].timeout =
         sim_.Schedule(SimTime::Millis(timeout_ms), [this, op, slot] {
           if (op->slots[slot].resolved) return;
@@ -800,12 +807,8 @@ void ProtocolNetwork::LookupAsync(
       sim_.Schedule(SimTime::Millis(2.0 * graph_->IntraLatencyMs(querier)),
                     [this, op, hit] {
                       if (op->completed) return;
-                      if (!committed_.empty()) {
-                        const auto committed = committed_.find(op->guid);
-                        if (committed != committed_.end() &&
-                            hit.stamp() < committed->second) {
-                          cache_->CountStaleServed();
-                        }
+                      if (IsStaleStamp(op->guid, hit.stamp())) {
+                        cache_->CountStaleServed();
                       }
                       LookupResult result;
                       result.found = true;
@@ -974,14 +977,10 @@ void ProtocolNetwork::TransmitProbe(const std::shared_ptr<LookupOp>& op,
       MessageHeader{op->request_ids[index], op->querier, probe.host};
   request.guid = op->guid;
 
-  // Arm the timeout; a response cancels it. It adapts to the client's own
-  // RTT estimate for this replica (it just used that estimate to order the
-  // probes) so a slow-but-alive replica is never declared dead before its
-  // reply can arrive; on retransmission it backs off exponentially.
-  const double timeout_ms =
-      std::max(TimeoutForAttemptMs(options_.failure_timeout_ms, retry,
-                                   options_.retry_backoff),
-               1.5 * probe.rtt);
+  // Arm the timeout; a response cancels it. Its RTT floor is the client's
+  // own estimate for this replica, the one that ordered the probes.
+  const double timeout_ms = AdaptiveTimeoutMs(
+      options_.failure_timeout_ms, probe.rtt, retry, options_.retry_backoff);
   op->timeout = sim_.Schedule(
       SimTime::Millis(timeout_ms), [this, op, index, retry, timeout_ms] {
         ProbeTimedOut(op, index, retry, timeout_ms);
@@ -1055,10 +1054,8 @@ void ProtocolNetwork::TransmitReadProbe(const std::shared_ptr<LookupOp>& op,
   request.header =
       MessageHeader{op->request_ids[s.index], op->querier, probe.host};
   request.guid = op->guid;
-  const double timeout_ms =
-      std::max(TimeoutForAttemptMs(options_.failure_timeout_ms, retry,
-                                   options_.retry_backoff),
-               1.5 * probe.rtt);
+  const double timeout_ms = AdaptiveTimeoutMs(
+      options_.failure_timeout_ms, probe.rtt, retry, options_.retry_backoff);
   s.timeout = sim_.Schedule(
       SimTime::Millis(timeout_ms),
       [this, op, stream, index = s.index, retry] {

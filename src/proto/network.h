@@ -132,10 +132,16 @@ class ProtocolNetwork {
   // the network and must not be shared across concurrent simulators.
   void SetServingTier(ServingTier* tier) { serving_ = tier; }
 
-  // Registers the fault.* instruments and mirrors the fault counters into
-  // `registry` under shard `shard` (the network itself is serial; parallel
-  // harnesses run one network per trial and pass the worker id).
+  // Registers the fault.* instruments (and consistency.* when
+  // QuorumActive()) and mirrors the counters into `registry` under shard
+  // `shard`. Registration mutates the registry, so call it serially.
   void SetMetrics(MetricsRegistry* registry, unsigned shard = 0);
+  // The parallel-phase half of SetMetrics: mirrors into the registry and
+  // instruments `registered` already holds, under shard `shard`,
+  // registering nothing. `registered` must have been built with the same
+  // options. Parallel harnesses run one network per trial: SetMetrics on a
+  // prototype before the parallel phase, BindMetrics in each trial.
+  void BindMetrics(const ProtocolNetwork& registered, unsigned shard);
   // Samples per-lookup probe traces (outcome 'T' marks a probe that
   // exhausted its retry budget without a reply).
   void SetTracer(ProbeTracer* tracer, unsigned shard = 0);
@@ -309,6 +315,9 @@ class ProtocolNetwork {
   // Advances the per-GUID committed-stamp frontier (quorum-active runs
   // only); lookups returning an older stamp count as stale reads.
   void CommitStamp(const Guid& guid, const LogicalStamp& stamp);
+  // True when `stamp` is behind the committed frontier of `guid` (always
+  // false in legacy runs) — the wire twin of DMapService::IsStaleStamp.
+  bool IsStaleStamp(const Guid& guid, const LogicalStamp& stamp) const;
   // Fire-and-forget single-replica repair write carrying `entry`.
   void SendRepairInsert(const Guid& guid, AsId src, AsId dst,
                         const MappingEntry& entry,

@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "core/dmap_service.h"
+#include "obs/metrics_registry.h"
 #include "sim/environment.h"
 
 namespace dmap {
@@ -185,6 +187,59 @@ TEST_F(CachingDMapTest, HitRateGrowsWithRepeats) {
   }
   EXPECT_EQ(service->cache()->misses(), 20u);
   EXPECT_EQ(service->cache()->hits(), 80u);
+}
+
+// A warmed cache changes where an answer comes from, never what it is:
+// over a whole stream, every lookup of the second pass is a cache hit that
+// sends no probe, and returns exactly what a cacheless service finds by
+// probing. Without the local replica every first-pass answer is global, so
+// every (querier, guid) pair gets filled; the pairs never repeat within a
+// pass.
+TEST_F(CachingDMapTest, WarmedStreamMatchesFullProbeWithoutProbing) {
+  constexpr std::uint64_t kGuids = 500, kLookups = 2000;
+  const auto service = [&](std::size_t capacity) {
+    DMapOptions o;
+    o.local_replica = false;
+    o.measure_update_latency = false;
+    if (capacity > 0) o.cache = Config(capacity, 0.0);  // never expires
+    auto s = std::make_unique<DMapService>(env_.graph, env_.table, o);
+    for (std::uint64_t i = 0; i < kGuids; ++i) {
+      (void)s->Insert(Guid::FromSequence(i),
+                      NetworkAddress{AsId(i % env_.graph.num_nodes()), 1});
+    }
+    return s;
+  };
+  const auto lookup = [](DMapService& s, std::uint64_t i) {
+    return s.Lookup(Guid::FromSequence(i % kGuids), AsId(i % 16));
+  };
+
+  auto probing = service(0);
+  std::vector<LookupResult> want;
+  for (std::uint64_t i = 0; i < kLookups; ++i) {
+    want.push_back(lookup(*probing, i));
+    ASSERT_TRUE(want.back().found);
+  }
+
+  auto cached = service(4096);
+  MetricsRegistry registry;
+  cached->SetMetrics(&registry);
+  for (std::uint64_t i = 0; i < kLookups; ++i) (void)lookup(*cached, i);
+  cached->RefreshReadSnapshots();
+  const auto probes = [&] {
+    for (const CounterSnapshot& c : registry.Snapshot().counters) {
+      if (c.name == "dmap.probes") return c.value;
+    }
+    return std::uint64_t(0);
+  };
+  const std::uint64_t probes_after_warmup = probes();
+  for (std::uint64_t i = 0; i < kLookups; ++i) {
+    const LookupResult got = lookup(*cached, i);
+    ASSERT_TRUE(got.served_from_cache) << "lookup " << i;
+    EXPECT_EQ(got.attempts, 0);
+    EXPECT_TRUE(got.found);
+    EXPECT_TRUE(got.nas == want[i].nas) << "lookup " << i;
+  }
+  EXPECT_EQ(probes(), probes_after_warmup);
 }
 
 }  // namespace

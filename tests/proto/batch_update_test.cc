@@ -19,6 +19,29 @@
 namespace dmap {
 namespace {
 
+// Canonical store dump: for every workload GUID, the (as, version,
+// attachment) of every AS holding a replica — a full scan over the AS
+// space, so missing and surplus replicas both show up as differences.
+std::vector<std::uint64_t> Dump(const DMapService& service,
+                                const MobilityWorkload& workload,
+                                const AsGraph& graph) {
+  std::vector<std::uint64_t> out;
+  for (std::uint32_t host = 0; host < workload.params().num_hosts; ++host) {
+    for (std::uint32_t i = 0; i < workload.params().guids_per_host; ++i) {
+      const Guid g = workload.GuidOf(host, i);
+      for (AsId as = 0; as < graph.num_nodes(); ++as) {
+        const MappingEntry* e = service.StoreLookup(as, g);
+        if (e == nullptr) continue;
+        out.push_back(as);
+        out.push_back(e->version);
+        out.push_back(e->nas[0].as);
+        out.push_back(e->nas[0].locator);
+      }
+    }
+  }
+  return out;
+}
+
 class BatchUpdateTest : public testing::Test {
  protected:
   BatchUpdateTest()
@@ -41,28 +64,6 @@ class BatchUpdateTest : public testing::Test {
     return p;
   }
 
-  // Canonical store dump: for every workload GUID, the (as, version,
-  // attachment) of every AS holding a replica — a full scan over the AS
-  // space, so missing and surplus replicas both show up as differences.
-  std::vector<std::uint64_t> Dump(const DMapService& service,
-                                  const MobilityWorkload& workload) const {
-    std::vector<std::uint64_t> out;
-    for (std::uint32_t host = 0; host < workload.params().num_hosts; ++host) {
-      for (std::uint32_t i = 0; i < workload.params().guids_per_host; ++i) {
-        const Guid g = workload.GuidOf(host, i);
-        for (AsId as = 0; as < env_.graph.num_nodes(); ++as) {
-          const MappingEntry* e = service.StoreLookup(as, g);
-          if (e == nullptr) continue;
-          out.push_back(as);
-          out.push_back(e->version);
-          out.push_back(e->nas[0].as);
-          out.push_back(e->nas[0].locator);
-        }
-      }
-    }
-    return out;
-  }
-
   SimEnvironment env_;
 };
 
@@ -80,7 +81,8 @@ TEST_F(BatchUpdateTest, ClosedFormMatchesSequentialForEveryBatchSize) {
       expected.push_back(sequential.Update(guid, na));
     }
   }
-  const std::vector<std::uint64_t> want = Dump(sequential, workload);
+  const std::vector<std::uint64_t> want =
+      Dump(sequential, workload, env_.graph);
 
   for (const int batch_size : {1, 4, 16, 64}) {
     DMapService batched(env_.graph, env_.table, Options());
@@ -112,8 +114,50 @@ TEST_F(BatchUpdateTest, ClosedFormMatchesSequentialForEveryBatchSize) {
       EXPECT_DOUBLE_EQ(got[i].latency_ms, expected[i].latency_ms);
     }
     // ...and so is the full stored state, replica by replica.
-    EXPECT_EQ(Dump(batched, workload), want) << "batch " << batch_size;
+    EXPECT_EQ(Dump(batched, workload, env_.graph), want)
+        << "batch " << batch_size;
   }
+}
+
+// The batching floor, as a count: on a 12-AS gateway cluster, where a
+// host's K*N replica writes land on a handful of ASes, one BatchUpdate per
+// hand-off sends at least 5x fewer messages than the sequential Updates it
+// replaces — and fewer than one per moved GUID — while leaving the same
+// stores behind. 20 hosts x 16 GUIDs, 1 Hz hand-offs over 10 s.
+TEST_F(BatchUpdateTest, HandoffBatchingCutsMessagesFiveFold) {
+  const SimEnvironment cluster =
+      BuildEnvironment(EnvironmentParams::Scaled(12));
+  MobilityParams params;
+  params.num_hosts = 20;
+  params.guids_per_host = 16;
+  params.handoff_rate_hz = 1.0;
+  params.horizon_s = 10.0;
+  const MobilityWorkload workload(cluster.graph, params);
+  DMapOptions options;
+  options.measure_update_latency = false;
+  DMapService sequential(cluster.graph, cluster.table, options);
+  DMapService batched(cluster.graph, cluster.table, options);
+  for (const InsertOp& op : workload.InitialInserts()) {
+    (void)sequential.Insert(op.guid, op.na);
+    (void)batched.Insert(op.guid, op.na);
+  }
+
+  std::uint64_t unbatched_messages = 0, batched_messages = 0, moved = 0;
+  for (const Handoff& handoff : workload.Handoffs()) {
+    const auto moves = workload.MovesFor(handoff);
+    for (const auto& [guid, na] : moves) {
+      unbatched_messages += sequential.Update(guid, na).replicas.size();
+    }
+    batched_messages += batched.BatchUpdate(moves).messages;
+    moved += moves.size();
+  }
+  ASSERT_GT(batched_messages, 0u);
+  EXPECT_GE(unbatched_messages, 5 * batched_messages)
+      << unbatched_messages << " sequential vs " << batched_messages
+      << " batched messages";
+  EXPECT_LT(batched_messages, moved);
+  EXPECT_EQ(Dump(batched, workload, cluster.graph),
+            Dump(sequential, workload, cluster.graph));
 }
 
 TEST_F(BatchUpdateTest, BatchAccountingCountsDistinctDestinations) {
